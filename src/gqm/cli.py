@@ -6,7 +6,9 @@ deterministic for a given spec and package version: numbers are
 written with 17 significant digits, JSON keys are sorted, and
 eigendecomposition degeneracies are resolved by fixed ordering.
 Exit code 0 on success; on failure a machine-readable diagnostic
-code is printed to stderr and the exit code is nonzero.
+code is printed to stderr and the exit code is nonzero: 2 for a spec
+that cannot be evaluated (E_NUMERIC when it yields non-finite
+amplitudes or trajectories), 3 for E_IO, 4 for E_INTERNAL.
 """
 
 from __future__ import annotations
@@ -33,6 +35,12 @@ def _fmt(x: float) -> str:
 
 def _pairs(vec) -> list[list[float]]:
     return [[float(c.real), float(c.imag)] for c in np.asarray(vec, dtype=complex)]
+
+
+def _require_finite(name: str, *arrays) -> None:
+    """E_NUMERIC instead of writing NaN or inf into an artifact."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise SpecError("E_NUMERIC", f"{name} are not finite; check the grid and hamiltonian")
 
 
 def _write_json(path: Path, obj) -> Path:
@@ -118,6 +126,7 @@ def write_amplitudes(built: BuiltExperiment, outdir: Path, fmt: str = "csv") -> 
     columns = {
         (x.id, y.id): amplitude_grid(s, x, y, h, grid) for x, y in pairs
     }
+    _require_finite("amplitudes", *columns.values())
     if fmt == "json":
         obj = {
             "t": [float(t) for t in grid.times],
@@ -191,6 +200,7 @@ def write_evolution(built: BuiltExperiment, outdir: Path, fmt: str = "csv") -> P
     sp = gns_build(built.groupoid, s)
     psi = schrodinger_evolve(sp, s, h, grid)
     norms = np.sqrt(np.sum(np.abs(psi) ** 2, axis=1))
+    _require_finite("psi and norms", psi, norms)
     if fmt == "json":
         obj = {
             "t": [float(t) for t in grid.times],
@@ -331,6 +341,9 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"E_IO: {err}", file=sys.stderr)
         return 3
+    except Exception as err:
+        print(f"E_INTERNAL: {type(err).__name__}: {err}", file=sys.stderr)
+        return 4
     for path in written:
         print(path)
     return 0

@@ -1,12 +1,26 @@
 """Hamiltonian dynamics in the groupoid algebra.
 
 A self-adjoint element h generates the derivation D(a) = i[a, h] and
-the unitary group u_t = exp(ith), computed through the faithful
-regular representation: diagonalize the Hermitian matrix of h,
-exponentiate the spectrum, and pull the operator back to algebra
-coefficients by reading it off the unit-fiber basis vectors. The
-closed forms known for special Hamiltonians serve as golden tests,
-not as the algorithm. hbar = 1 throughout.
+the unitary group u_t = exp(ith), both read off the spectrum of the
+faithful regular representation lambda(h). Since a∘b has the source
+of b, lambda(h) maps each source fiber G_x = {a : s(a) = x} into
+itself: it is block-diagonal, with block entries h(a ∘ b^-1) for
+a, b in G_x. One small eigh per fiber gives lambda(h) = V diag(λ) V†
+with V zero off the blocks.
+
+u_t ⋆ delta_{1_x} is the column of exp(it lambda(h)) at the unit 1_x,
+so the coefficients of u_t are the gather
+
+    u_t(a) = sum_m V[a, m] e^{itλ_m} conj(V[1_{s(a)}, m]),
+
+and the transition amplitude rho(delta_{1_y} ⋆ u_t ⋆ delta_{1_x}) =
+w sum_{a: x -> y} phi(a) u_t(a) is, for all times of a grid at once,
+
+    w · exp(i t⊗λ) @ c,   c_m = (sum_{a: x -> y} phi(a) V[a, m]) conj(V[1_x, m]).
+
+No |G| x |G| operator is formed at any time t. The closed forms known
+for special Hamiltonians serve as golden tests, not as the algorithm.
+hbar = 1 throughout.
 """
 
 from __future__ import annotations
@@ -20,14 +34,14 @@ from .algebra import (
     _check,
     adjoint,
     convolve,
-    delta,
+    fiber_eigh,
     incidence_element,
     is_self_adjoint,
-    regular_representation,
+    regular_representation,  # noqa: F401  (kept bound: perfbench/spans.py wraps it)
 )
 from .gns import GnsSpace, represent
 from .groupoid import FiniteGroupoid, Outcome
-from .states import State, expectation
+from .states import State
 
 
 @dataclass(eq=False)
@@ -44,10 +58,19 @@ class Hamiltonian:
             raise ValueError("Hamiltonian element must be self-adjoint")
 
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigendecomposition of the regular representation, cached."""
+        """Eigendecomposition (evals, vecs) of the regular representation, cached.
+
+        One eigh per source fiber G_x, on the block h(a ∘ b^-1) for
+        a, b in G_x. The full pair is assembled from the blocks: column
+        m of ``vecs`` is zero off the fiber it came from, and ``evals``
+        is sorted ascending with a stable sort, so ties keep fiber order.
+        """
         if self._spectrum is None:
-            mat = regular_representation(self.groupoid, self.element)
-            self._spectrum = np.linalg.eigh(mat)
+            g, coeffs = self.groupoid, self.element.coeffs
+            self._spectrum = fiber_eigh(
+                g.source_fibers,
+                lambda fib: coeffs[g.compose_table[fib[:, None], g.inverse_table[fib][None, :]]],
+            )
         return self._spectrum
 
 
@@ -74,12 +97,14 @@ def derivation(g: FiniteGroupoid, a: AlgebraElement, h: Hamiltonian) -> AlgebraE
 
 
 def exponential(g: FiniteGroupoid, h: Hamiltonian, t: float) -> AlgebraElement:
-    """u_t = exp(ith): unitary, u_0 = 1, u_{t+s} = u_t ⋆ u_s."""
+    """u_t = exp(ith): unitary, u_0 = 1, u_{t+s} = u_t ⋆ u_s.
+
+    u_t(a) = sum_m V[a, m] e^{itλ_m} conj(V[1_{s(a)}, m]), the entry of
+    exp(it lambda(h)) at (a, 1_{s(a)}), without forming that operator.
+    """
     evals, vecs = h.spectrum()
-    u_mat = (vecs * np.exp(1j * t * evals)) @ vecs.conj().T
-    # u ⋆ delta_{1_x} carries u's source-fiber coefficients at x, so one
-    # gather per transition recovers the element from the operator
-    return AlgebraElement(u_mat[np.arange(g.n_transitions), g.unit_table[g.source]])
+    units = vecs[g.unit_table[g.source]].conj()
+    return AlgebraElement(np.einsum("am,m,am->a", vecs, np.exp(1j * t * evals), units))
 
 
 def heisenberg_evolve(
@@ -97,10 +122,11 @@ def amplitude(
     h: Hamiltonian,
     t: float,
 ) -> complex:
-    """rho(delta_{1_y} ⋆ u_t ⋆ delta_{1_x}): amplitude for y after x."""
-    g = s.groupoid
-    u = exponential(g, h, t)
-    return _unit_sandwich(s, _outcome_id(g, x), _outcome_id(g, y), u)
+    """rho(delta_{1_y} ⋆ u_t ⋆ delta_{1_x}): amplitude for y after x.
+
+    The one-time case of ``amplitude_grid``.
+    """
+    return complex(amplitude_grid(s, x, y, h, TimeGrid(t, t, 1))[0])
 
 
 def amplitude_grid(
@@ -110,11 +136,22 @@ def amplitude_grid(
     h: Hamiltonian,
     grid: TimeGrid,
 ) -> np.ndarray:
+    """rho(delta_{1_y} ⋆ u_t ⋆ delta_{1_x}) at every time of the grid.
+
+    Only the arrows x -> y survive the unit sandwich, so the amplitude
+    is w sum_{a: x -> y} phi(a) u_t(a). With the fiber spectrum
+    lambda(h) = V diag(λ) V† this is the gather
+
+        w · exp(i t⊗λ) @ c,   c_m = (sum_{a: x -> y} phi(a) V[a, m]) conj(V[1_x, m]),
+
+    one batched exp over all times; u_t itself is never formed.
+    """
     g = s.groupoid
     xid, yid = _outcome_id(g, x), _outcome_id(g, y)
-    return np.array(
-        [_unit_sandwich(s, xid, yid, exponential(g, h, t)) for t in grid.times]
-    )
+    evals, vecs = h.spectrum()
+    arrows = np.flatnonzero((g.source == xid) & (g.target == yid))
+    c = (s.phi.values[arrows] @ vecs[arrows]) * vecs[g.unit_table[xid]].conj()
+    return s.weight * (np.exp(1j * np.outer(grid.times, evals)) @ c)
 
 
 def _outcome_id(g: FiniteGroupoid, x: Outcome | int | str) -> int:
@@ -123,12 +160,6 @@ def _outcome_id(g: FiniteGroupoid, x: Outcome | int | str) -> int:
     if isinstance(x, str):
         return g.outcome(x).id
     return int(x)
-
-
-def _unit_sandwich(s: State, xid: int, yid: int, u: AlgebraElement) -> complex:
-    g = s.groupoid
-    left = convolve(g, delta(g, int(g.unit_table[yid])), u)
-    return expectation(s, convolve(g, left, delta(g, int(g.unit_table[xid]))))
 
 
 def schrodinger_evolve(
@@ -142,7 +173,6 @@ def schrodinger_evolve(
     The eigendecomposition of h is computed once and shared across the
     grid; each time costs two small matrix products.
     """
-    g = s.groupoid
     evals, vecs = h.spectrum()
     left = sp.project @ vecs
     right = vecs.conj().T @ sp.lift @ sp.cyclic_vector

@@ -3,10 +3,12 @@
 The Gram matrix G[a, b] = rho(delta_{a^-1 ∘ b}) (zero when a, b have
 different targets) defines the inner product <Psi_f, Psi_g> =
 rho(f* ⋆ g), conjugate-linear in the first slot. The GNS space is the
-quotient by the null directions, realized by Hermitian
-eigendecomposition with a relative threshold; represented operators
-act through the regular representation conjugated into the quotient
-coordinates.
+quotient by the null directions. The Gram matrix is block-diagonal
+over target fibers G^y = {a : t(a) = y}, so the quotient is realized by
+one Hermitian eigendecomposition per fiber block with a relative
+threshold, and every GNS basis vector is supported on a single target
+fiber. Represented operators act through the regular representation
+conjugated into the quotient coordinates.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, _check, regular_representation, unit_element
+from .algebra import AlgebraElement, _check, fiber_eigh, regular_representation, unit_element
 from .groupoid import FiniteGroupoid
 from .states import State
 
@@ -54,13 +56,17 @@ def gram_matrix(g: FiniteGroupoid, s: State) -> np.ndarray:
 def gns_build(g: FiniteGroupoid, s: State, null_tol: float = 1e-10) -> GnsSpace:
     """Quotient the algebra by the null ideal of the state.
 
-    Eigenvalues below null_tol * max eigenvalue are null directions;
-    the kept eigensystem is ordered ascending and each eigenvector's
-    phase is fixed so its first significant component is real positive
-    (deterministic output for identical input).
+    One eigh per target-fiber block of the Gram matrix. Eigenvalues
+    below null_tol * max eigenvalue are null directions. The kept
+    eigenpairs are stable-sorted ascending, so ties keep fiber order,
+    and each eigenvector's phase is fixed so its first significant
+    component is real positive. For a factorizable
+    state every block has rank one, which makes each kept vector unique
+    up to that phase: the coordinates do not depend on how LAPACK
+    orders a degenerate eigenspace.
     """
     gram = gram_matrix(g, s)
-    evals, vecs = np.linalg.eigh(gram)
+    evals, vecs = fiber_eigh(g.target_fibers, lambda fib: gram[np.ix_(fib, fib)])
     lam_max = float(evals[-1])
     if lam_max <= 0.0:
         raise ValueError("degenerate state: Gram matrix has no positive spectrum")

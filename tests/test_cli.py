@@ -166,3 +166,37 @@ def test_pair2_gns_output(specdir):
     assert gns["dim"] == 2
     fv = np.array([complex(re, im) for re, im in gns["feynman_vector"]])
     assert np.vdot(fv, fv).real == pytest.approx(4.0, abs=1e-10)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow too
+def test_non_finite_grid_is_numeric_error(specdir, capsys):
+    out = specdir / "huge"
+    code = run_cli("evolve", "--spec", specdir / "ratchet.json", "--out", out,
+                   "--t-start=-1e308", "--t-stop=1e308", "--t-steps=5")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("E_NUMERIC:")
+    assert not (out / "amplitudes.csv").exists() and not (out / "evolve.csv").exists()
+
+
+def test_non_finite_trajectory_is_numeric_error(specdir, capsys, monkeypatch):
+    # amplitudes pass, the GNS trajectory does not: the second guard fires
+    def nan_trajectory(sp, s, h, grid):
+        return np.full((grid.steps, sp.dim), np.nan, dtype=complex)
+
+    monkeypatch.setattr(gqm.cli, "schrodinger_evolve", nan_trajectory)
+    out = specdir / "nan"
+    assert run_cli("evolve", "--spec", specdir / "qubit.json", "--out", out) == 2
+    assert capsys.readouterr().err.startswith("E_NUMERIC:")
+    assert not (out / "evolve.csv").exists()
+
+
+def test_unexpected_exception_is_internal_error(specdir, capsys, monkeypatch):
+    def broken_writer(built, outdir, fmt):
+        raise RuntimeError("writer exploded")
+
+    monkeypatch.setitem(gqm.cli._OUTPUT_WRITERS, "axioms", (broken_writer, "json"))
+    code = run_cli("check", "--spec", specdir / "ratchet.json", "--out", specdir / "x")
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("E_INTERNAL:") and "writer exploded" in err
+    assert "Traceback" not in err

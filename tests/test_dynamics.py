@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gqm
 
@@ -259,3 +262,98 @@ def test_time_grid_validation():
     with pytest.raises(ValueError):
         gqm.TimeGrid(0.0, 1.0, 0)
     assert np.allclose(gqm.TimeGrid(0.0, 10.0, 101).times, np.linspace(0, 10, 101))
+
+
+# ------------------------------------------- fiber paths vs dense reference
+
+TOL = 1e-12
+S3_PERMS = list(itertools.permutations(range(3)))
+S3 = gqm.group_from_table(
+    [[S3_PERMS.index(tuple(p[i] for i in q)) for q in S3_PERMS] for p in S3_PERMS]
+)
+S3_SIGN = np.array([round(np.linalg.det(np.eye(3)[list(p)])) for p in S3_PERMS])
+
+
+@st.composite
+def factorizable_systems(draw):
+    """A random quiver over Z_k or S_3, its closure, a factorizable
+    unit-modulus state and a random self-adjoint Hamiltonian."""
+    n_out = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        group = S3
+        chi = S3_SIGN if draw(st.booleans()) else np.ones(6)
+    else:
+        k = draw(st.integers(1, 4))
+        group = gqm.cyclic_group(k)
+        chi = np.exp(2j * np.pi * draw(st.integers(0, k - 1)) * np.arange(k) / k)
+    labels = [f"o{i}" for i in range(n_out)]
+    arrows = draw(st.lists(
+        st.tuples(st.sampled_from(labels), st.sampled_from(labels),
+                  st.integers(0, group.order - 1)),
+        min_size=1, max_size=5, unique=True,
+    ))
+    g = gqm.generate_from_quiver(gqm.make_quiver(labels, group, arrows))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # phi(y, c, x) = theta_y chi(c) conj(theta_x) is a unit-modulus groupoid character
+    theta = np.exp(2j * np.pi * rng.random(n_out))
+    register = np.array([t.label for t in g.transitions])
+    phi = theta[g.target] * chi[register] * np.conj(theta[g.source])
+    s = gqm.state_from_phi(g, gqm.GroupoidFunction(phi))
+    assert s.is_factorizable
+    return g, s, gqm.Hamiltonian(g, gqm.random_self_adjoint(g, rng))
+
+
+def max_diff(a, b):
+    return float(np.max(np.abs(np.asarray(a) - np.asarray(b)), initial=0.0))
+
+
+@settings(deadline=None)
+@given(factorizable_systems(), st.floats(-3, 3), st.floats(0, 3))
+def test_fiber_dynamics_match_dense_reference(system, t0, span):
+    g, s, h = system
+    lam = gqm.regular_representation(g, h.element)
+    evals, vecs = np.linalg.eigh(lam)
+    at_units = (np.arange(g.n_transitions), g.unit_table[g.source])
+
+    def dense_u(t):
+        return gqm.AlgebraElement(((vecs * np.exp(1j * t * evals)) @ vecs.conj().T)[at_units])
+
+    # the fiber spectrum keeps the dense contract: same evals, V diag(λ) V† = lambda(h)
+    f_evals, f_vecs = h.spectrum()
+    assert max_diff(f_evals, evals) < TOL
+    assert max_diff((f_vecs * f_evals) @ f_vecs.conj().T, lam) < TOL
+    for col in f_vecs.T:
+        assert len(set(g.source[np.abs(col) > 0])) == 1
+
+    grid = gqm.TimeGrid(t0, t0 + span, 4)
+    for t in grid.times:
+        assert (gqm.exponential(g, h, t) - dense_u(t)).max_abs() < TOL
+    units = [gqm.delta(g, int(u)) for u in g.unit_table]
+    for x in g.outcomes:
+        for y in g.outcomes:
+            want = [
+                gqm.expectation(s, gqm.convolve(g, gqm.convolve(g, units[y.id], dense_u(t)), units[x.id]))
+                for t in grid.times
+            ]
+            assert max_diff(gqm.amplitude_grid(s, x, y, h, grid), want) < TOL
+
+
+@settings(deadline=None)
+@given(factorizable_systems())
+def test_fiber_gns_matches_dense_reference(system):
+    g, s, h = system
+    sp = gqm.gns_build(g, s)
+    evals, vecs = np.linalg.eigh(gqm.gram_matrix(g, s))
+    keep = evals > 1e-10 * evals[-1]
+    basis, root = vecs[:, keep], np.sqrt(evals[keep])
+    assert max_diff(sp.eigenvalues, evals[keep]) < TOL
+    assert max_diff(sp.lift @ sp.project, basis @ basis.conj().T) < TOL
+    dense_h = (root[:, None] * basis.conj().T) @ gqm.regular_representation(g, h.element) @ (
+        basis / root
+    )
+    got = np.linalg.eigvalsh(gqm.represent(sp, g, h.element))
+    assert max_diff(got, np.linalg.eigvalsh(dense_h)) < TOL
+    # factorizable: one rank-one block per target fiber
+    assert sp.dim == g.n_outcomes
+    for col in sp.lift.T:
+        assert len(set(g.target[np.abs(col) > 0])) == 1
