@@ -6,15 +6,17 @@ deterministic for a given spec and package version: numbers are
 written with 17 significant digits, JSON keys are sorted, and
 eigendecomposition degeneracies are resolved by fixed ordering.
 Exit code 0 on success; on failure a machine-readable diagnostic
-code is printed to stderr and the exit code is nonzero: 2 for a spec
-that cannot be evaluated (E_NUMERIC when it yields non-finite
-amplitudes or trajectories), 3 for E_IO, 4 for E_INTERNAL.
+code is printed first on stderr and the exit code is nonzero: 2 for a
+spec that cannot be evaluated (E_NUMERIC when it yields non-finite
+amplitudes or trajectories) and for a bad command line (E_USAGE), 3 for
+E_IO, 4 for E_INTERNAL.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -54,6 +56,19 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> Path:
         writer.writerow(header)
         writer.writerows(rows)
     return path
+
+
+def _write_series(path: Path, times, columns: dict, reals: dict) -> Path:
+    """CSV with one row per time: t, re/im of each complex column, then
+    each real column."""
+    header = ["t"] + [f"{part}({name})" for name in columns for part in ("re", "im")]
+    rows = []
+    for i, t in enumerate(times):
+        row = [_fmt(float(t))]
+        for col in columns.values():
+            row += [_fmt(col[i].real), _fmt(col[i].imag)]
+        rows.append(row + [_fmt(float(col[i])) for col in reals.values()])
+    return _write_csv(path, header + list(reals), rows)
 
 
 def _flatten(obj, prefix=""):
@@ -105,7 +120,7 @@ def write_cayley(built: BuiltExperiment, outdir: Path, fmt: str = "csv") -> Path
 
 
 def write_state(built: BuiltExperiment, outdir: Path, fmt: str = "json") -> Path:
-    s = _need_state(built)
+    (s,) = _need(built, "state")
     obj = {
         "phi": _pairs(s.phi.values),
         "weight": s.weight,
@@ -118,61 +133,44 @@ def write_state(built: BuiltExperiment, outdir: Path, fmt: str = "json") -> Path
 
 def write_amplitudes(built: BuiltExperiment, outdir: Path, fmt: str = "csv") -> Path:
     """rho(1_y u_t 1_x) for every ordered outcome pair over the grid."""
-    s = _need_state(built)
-    h = _need_hamiltonian(built)
-    grid = _need_grid(built)
+    s, h, grid = _need(built, "state", "hamiltonian", "grid")
     g = built.groupoid
-    pairs = [(x, y) for x in g.outcomes for y in g.outcomes]
     columns = {
-        (x.id, y.id): amplitude_grid(s, x, y, h, grid) for x, y in pairs
+        f"{y.label}<-{x.label}": amplitude_grid(s, x, y, h, grid)
+        for x in g.outcomes for y in g.outcomes
     }
     _require_finite("amplitudes", *columns.values())
     if fmt == "json":
         obj = {
             "t": [float(t) for t in grid.times],
-            "amplitudes": {
-                f"{y.label}<-{x.label}": _pairs(columns[(x.id, y.id)]) for x, y in pairs
-            },
+            "amplitudes": {name: _pairs(col) for name, col in columns.items()},
         }
         return _write_json(outdir / "amplitudes.json", obj)
-    header = ["t"]
-    for x, y in pairs:
-        header += [f"re({y.label}<-{x.label})", f"im({y.label}<-{x.label})"]
-    rows = []
-    for i, t in enumerate(grid.times):
-        row = [_fmt(float(t))]
-        for x, y in pairs:
-            a = columns[(x.id, y.id)][i]
-            row += [_fmt(a.real), _fmt(a.imag)]
-        rows.append(row)
-    return _write_csv(outdir / "amplitudes.csv", header, rows)
+    return _write_series(outdir / "amplitudes.csv", grid.times, columns, {})
 
 
 def write_measure(built: BuiltExperiment, outdir: Path, fmt: str = "json") -> Path:
-    s = _need_state(built)
+    (s,) = _need(built, "state")
     g = built.groupoid
+    amp = amplitude_matrix(s) if s.is_factorizable else None
     fibers = {}
     for x in g.outcomes:
         for y in g.outcomes:
             mu = quantum_measure(s, fiber_event(g, x.id, y.id))
-            fibers[f"{y.label}<-{x.label}"] = {"mu": mu, "mu_clamped": max(mu, 0.0)}
-    obj: dict = {"fiber_measures": fibers}
-    if s.is_factorizable:
-        amp = amplitude_matrix(s)
-        defect = reproducibility_defect(s)
-        for x in g.outcomes:
-            for y in g.outcomes:
-                entry = fibers[f"{y.label}<-{x.label}"]
+            entry = fibers[f"{y.label}<-{x.label}"] = {"mu": mu, "mu_clamped": max(mu, 0.0)}
+            if amp is not None:
                 a = amp[y.id, x.id]
-                entry["amplitude"] = [a.real, a.imag]
-                entry["amplitude_sq"] = float(abs(a) ** 2)
+                entry.update(amplitude=[a.real, a.imag], amplitude_sq=float(abs(a) ** 2))
+    obj: dict = {"fiber_measures": fibers}
+    if amp is not None:
+        defect = reproducibility_defect(s)
         obj["amplitude_matrix"] = [_pairs(row) for row in amp]
         obj["reproducibility_defect"] = {"raw": defect.raw, "normalized": defect.normalized}
     return _write_tree(outdir / "measure", obj, fmt)
 
 
 def write_gns(built: BuiltExperiment, outdir: Path, fmt: str = "json") -> Path:
-    s = _need_state(built)
+    (s,) = _need(built, "state")
     g = built.groupoid
     sp = gns_build(g, s)
     obj = {
@@ -194,9 +192,7 @@ def write_gns(built: BuiltExperiment, outdir: Path, fmt: str = "json") -> Path:
 
 def write_evolution(built: BuiltExperiment, outdir: Path, fmt: str = "csv") -> Path:
     """GNS trajectory psi_t = pi(u_t)|0> over the grid."""
-    s = _need_state(built)
-    h = _need_hamiltonian(built)
-    grid = _need_grid(built)
+    s, h, grid = _need(built, "state", "hamiltonian", "grid")
     sp = gns_build(built.groupoid, s)
     psi = schrodinger_evolve(sp, s, h, grid)
     norms = np.sqrt(np.sum(np.abs(psi) ** 2, axis=1))
@@ -208,46 +204,51 @@ def write_evolution(built: BuiltExperiment, outdir: Path, fmt: str = "csv") -> P
             "norm": [float(v) for v in norms],
         }
         return _write_json(outdir / "evolve.json", obj)
-    header = ["t"]
-    for i in range(sp.dim):
-        header += [f"re(psi[{i}])", f"im(psi[{i}])"]
-    header.append("norm")
-    rows = []
-    for i, t in enumerate(grid.times):
-        row = [_fmt(float(t))]
-        for c in psi[i]:
-            row += [_fmt(c.real), _fmt(c.imag)]
-        row.append(_fmt(float(norms[i])))
-        rows.append(row)
-    return _write_csv(outdir / "evolve.csv", header, rows)
+    columns = {f"psi[{i}]": psi[:, i] for i in range(sp.dim)}
+    return _write_series(outdir / "evolve.csv", grid.times, columns, {"norm": norms})
 
 
-def _need_state(built: BuiltExperiment):
-    if built.state is None:
-        raise SpecError("E_NO_STATE", "this output requires a state_source in the spec")
-    return built.state
+_MISSING = {
+    "state": "a state_source in the spec",
+    "hamiltonian": "a hamiltonian in the spec",
+    "grid": "a time grid",
+}
 
 
-def _need_hamiltonian(built: BuiltExperiment):
-    if built.hamiltonian is None:
-        raise SpecError("E_NO_HAMILTONIAN", "this output requires a hamiltonian in the spec")
-    return built.hamiltonian
+def _need(built: BuiltExperiment, *fields: str) -> list:
+    """The named fields of ``built``; E_NO_<FIELD> for the first one missing."""
+    for field in fields:
+        if getattr(built, field) is None:
+            raise SpecError(f"E_NO_{field.upper()}", f"this output requires {_MISSING[field]}")
+    return [getattr(built, field) for field in fields]
 
 
-def _need_grid(built: BuiltExperiment) -> TimeGrid:
-    if built.grid is None:
-        raise SpecError("E_NO_GRID", "this output requires a time grid")
-    return built.grid
-
-
+# output kind -> (writer, default format)
 _OUTPUT_WRITERS = {
     "axioms": (write_axioms, "json"),
     "cayley": (write_cayley, "csv"),
+    "state": (write_state, "json"),
     "amplitudes": (write_amplitudes, "csv"),
     "measure": (write_measure, "json"),
     "gns": (write_gns, "json"),
     "evolve": (write_evolution, "csv"),
 }
+
+
+def _write_outputs(built: BuiltExperiment, kinds, outdir, fmt: str | None) -> list[Path]:
+    """Write each output kind in order, in ``fmt`` or the kind's default.
+
+    numpy's floating-point warnings are silenced: the finite-output
+    guards report a bad grid or Hamiltonian as E_NUMERIC instead.
+    """
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    written = []
+    with np.errstate(all="ignore"):
+        for kind in kinds:
+            writer, default_fmt = _OUTPUT_WRITERS[kind]
+            written.append(writer(built, outdir, fmt or default_fmt))
+    return written
 
 
 def run(spec, outdir: Path, fmt: str | None = None) -> list[Path]:
@@ -256,33 +257,36 @@ def run(spec, outdir: Path, fmt: str | None = None) -> list[Path]:
     Accepts a parsed ExperimentSpec (or an already built experiment).
     """
     built = spec if isinstance(spec, BuiltExperiment) else build_experiment(spec)
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for kind in built.spec.requested_outputs:
-        writer, default_fmt = _OUTPUT_WRITERS[kind]
-        written.append(writer(built, outdir, fmt or default_fmt))
-    return written
+    return _write_outputs(built, built.spec.requested_outputs, outdir, fmt)
 
 
 # ------------------------------------------------------------------- CLI
 
+# verb -> (help text, output kinds it writes)
 _VERBS = {
-    "check": "validate the spec, build the groupoid, and write the axiom report",
-    "cayley": "write the multiplication table",
-    "state": "build the state and write its characteristic data",
-    "evolve": "write transition amplitudes and the GNS trajectory over the grid",
-    "measure": "write quantum-measure and amplitude data",
-    "gns": "write the GNS space summary",
+    "check": ("validate the spec, build the groupoid, and write the axiom report", ("axioms",)),
+    "cayley": ("write the multiplication table", ("cayley",)),
+    "state": ("build the state and write its characteristic data", ("state",)),
+    "evolve": ("write transition amplitudes and the GNS trajectory over the grid",
+               ("amplitudes", "evolve")),
+    "measure": ("write quantum-measure and amplitude data", ("measure",)),
+    "gns": ("write the GNS space summary", ("gns",)),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as E_USAGE instead of exiting."""
+
+    def error(self, message):
+        raise SpecError("E_USAGE", message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gqm", description="Evaluate groupoid quantum mechanics experiment specs."
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for verb, help_text in _VERBS.items():
+    for verb, (help_text, _) in _VERBS.items():
         sp = sub.add_parser(verb, help=help_text)
         sp.add_argument("--spec", required=True, help="path to the JSON spec file")
         sp.add_argument("--out", default=".", help="output directory")
@@ -294,47 +298,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _command_outputs(command: str) -> list[str]:
-    return {
-        "check": ["axioms"],
-        "cayley": ["cayley"],
-        "state": [],
-        "evolve": ["amplitudes", "evolve"],
-        "measure": ["measure"],
-        "gns": ["gns"],
-    }[command]
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        spec = load_spec_file(args.spec)
-        built = build_experiment(spec)
-        if args.command == "evolve" and any(
-            v is not None for v in (args.t_start, args.t_stop, args.t_steps)
-        ):
-            base = built.grid or TimeGrid(0.0, 1.0, 2)
+        args = build_parser().parse_args(argv)
+        built = build_experiment(load_spec_file(args.spec))
+        # --t-start/--t-stop/--t-steps exist on evolve only
+        overrides = {
+            key: v for key in ("start", "stop", "steps")
+            if (v := getattr(args, f"t_{key}", None)) is not None
+        }
+        if overrides:
             try:
-                grid = TimeGrid(
-                    args.t_start if args.t_start is not None else base.start,
-                    args.t_stop if args.t_stop is not None else base.stop,
-                    args.t_steps if args.t_steps is not None else base.steps,
-                )
+                grid = dataclasses.replace(built.grid or TimeGrid(0.0, 1.0, 2), **overrides)
             except ValueError as exc:
                 raise SpecError("E_GRID", str(exc), "grid") from None
-            built = BuiltExperiment(
-                spec=built.spec, groupoid=built.groupoid, quiver=built.quiver,
-                state=built.state, hamiltonian=built.hamiltonian, grid=grid,
-            )
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        written = []
-        if args.command == "state":
-            written.append(write_state(built, outdir, args.format or "json"))
-        else:
-            for kind in _command_outputs(args.command):
-                writer, default_fmt = _OUTPUT_WRITERS[kind]
-                written.append(writer(built, outdir, args.format or default_fmt))
+            built = dataclasses.replace(built, grid=grid)
+        written = _write_outputs(built, _VERBS[args.command][1], args.out, args.format)
     except SpecError as err:
         print(f"{err.code}: {err}", file=sys.stderr)
         return 2

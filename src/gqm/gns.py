@@ -46,10 +46,7 @@ def gram_matrix(g: FiniteGroupoid, s: State) -> np.ndarray:
     gram = np.zeros((n, n), dtype=complex)
     phi = s.phi.values
     for fib in g.target_fibers:
-        if len(fib) == 0:
-            continue
-        idx = g.compose_table[g.inverse_table[fib][:, None], fib[None, :]]
-        gram[np.ix_(fib, fib)] = s.weight * phi[idx]
+        gram[np.ix_(fib, fib)] = s.weight * phi[g.inverse_products(fib, fib)]
     return gram
 
 

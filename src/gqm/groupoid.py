@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteGroup, cyclic_group, trivial_group
+from .groups import FiniteGroup, cyclic_group
 
 UNDEFINED = -1
 
@@ -174,6 +174,11 @@ class FiniteGroupoid:
         xid = x.id if isinstance(x, Outcome) else x
         return self.transitions[self.unit_table[xid]]
 
+    def inverse_products(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """ids of a^-1 ∘ b for every a in ``a`` (rows) and b in ``b``
+        (columns), -1 where the pair is not composable."""
+        return self.compose_table[self.inverse_table[a][:, None], b[None, :]]
+
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, FiniteGroupoid)
@@ -228,16 +233,23 @@ def make_quiver(
     names=None,
 ) -> Quiver:
     """Assemble a quiver from labels and (source_label, target_label, label) triples."""
-    outcomes = tuple(Outcome(i, str(lab)) for i, lab in enumerate(outcome_labels))
-    by_label = {o.label: o.id for o in outcomes}
-    gens = []
-    for i, (src, tgt, lab) in enumerate(generators):
-        if src not in by_label or tgt not in by_label:
-            raise ValueError(f"generator {i} endpoint not a declared outcome")
-        gens.append(Transition(i, by_label[src], by_label[tgt], int(lab)))
+    outcomes, gens = _labeled_transitions(outcome_labels, generators, "generator")
     if names is None:
         names = tuple(f"g{i}" for i in range(len(gens)))
-    return Quiver(outcomes, tuple(gens), group, tuple(names))
+    return Quiver(outcomes, gens, group, tuple(names))
+
+
+def _labeled_transitions(outcome_labels, triples, noun: str):
+    """Outcomes for the labels, and one Transition per
+    (source_label, target_label, label) triple, ids in order."""
+    outcomes = tuple(Outcome(i, str(lab)) for i, lab in enumerate(outcome_labels))
+    by_label = {o.label: o.id for o in outcomes}
+    transitions = []
+    for i, (src, tgt, lab) in enumerate(triples):
+        if src not in by_label or tgt not in by_label:
+            raise ValueError(f"{noun} {i} endpoint not a declared outcome")
+        transitions.append(Transition(i, by_label[src], by_label[tgt], int(lab)))
+    return outcomes, tuple(transitions)
 
 
 def _tid(t: Transition | int) -> int:
@@ -312,13 +324,7 @@ def from_compose_table(
     undefined. Units and inverses are derived from the table; any axiom
     failure raises GroupoidAxiomError instead of loading lazily.
     """
-    outcomes = tuple(Outcome(i, str(lab)) for i, lab in enumerate(outcome_labels))
-    by_label = {o.label: o.id for o in outcomes}
-    trs = []
-    for i, (src, tgt, lab) in enumerate(transitions):
-        if src not in by_label or tgt not in by_label:
-            raise ValueError(f"transition {i} endpoint not a declared outcome")
-        trs.append(Transition(i, by_label[src], by_label[tgt], int(lab)))
+    outcomes, trs = _labeled_transitions(outcome_labels, transitions, "transition")
     n = len(trs)
     ct = np.array(
         [[UNDEFINED if e is None else int(e) for e in row] for row in compose_table],
@@ -363,14 +369,12 @@ def from_compose_table(
 
 
 def pair_groupoid(n: int, labels=None) -> FiniteGroupoid:
-    """All ordered pairs (y, x) over n outcomes; (z,y)∘(y,x) = (z,x)."""
+    """All ordered pairs (y, x) over n outcomes; (z,y)∘(y,x) = (z,x).
+
+    This is C_{n,1}: the register is the trivial group."""
     if n < 1:
         raise ValueError("pair groupoid needs at least one outcome")
-    if labels is None:
-        labels = [str(i) for i in range(n)]
-    outcomes = tuple(Outcome(i, str(lab)) for i, lab in enumerate(labels))
-    triples = [(y, 0, x) for y in range(n) for x in range(n)]
-    return _from_triples(outcomes, trivial_group(), triples)
+    return cyclic_groupoid(n, 1, labels=labels)
 
 
 def cyclic_groupoid(n_outcomes: int, k: int, labels=None) -> FiniteGroupoid:
@@ -392,26 +396,26 @@ def cyclic_groupoid(n_outcomes: int, k: int, labels=None) -> FiniteGroupoid:
 def generate_from_quiver(q: Quiver) -> FiniteGroupoid:
     """Close the quiver under composition and inversion.
 
+    Every arrow of the closure is a word in the generators and their
+    inverses ending in a unit, so one breadth-first search from the
+    units under left composition by those letters reaches all of them.
     Every outcome keeps its unit even when no generator touches it.
     Finiteness is guaranteed by the finite label group: the closure
     lives inside outcomes x group x outcomes.
     """
     grp = q.group
-    triples = {(o.id, grp.identity, o.id) for o in q.outcomes}
+    letters: dict[int, list[tuple[int, int]]] = {}  # source -> (target, label)
     for t in q.generators:
-        triples.add((t.target, t.label, t.source))
-        triples.add((t.source, grp.inv(t.label), t.target))
-    while True:
-        new = set()
-        for (y2, g2, x2) in triples:
-            for (y1, g1, x1) in triples:
-                if x2 == y1:
-                    c = (y2, grp.mul(g2, g1), x1)
-                    if c not in triples:
-                        new.add(c)
-        if not new:
-            break
-        triples |= new
+        letters.setdefault(t.source, []).append((t.target, t.label))
+        letters.setdefault(t.target, []).append((t.source, grp.inv(t.label)))
+    triples = {(o.id, grp.identity, o.id) for o in q.outcomes}
+    queue = list(triples)
+    for y, g, x in queue:
+        for z, h in letters.get(y, ()):
+            c = (z, grp.mul(h, g), x)
+            if c not in triples:
+                triples.add(c)
+                queue.append(c)
     return _from_triples(q.outcomes, grp, triples)
 
 

@@ -66,11 +66,9 @@ def decoherence(s: State, a: Event, b: Event) -> complex:
     """
     g = s.groupoid
     _check_event(g, a, b)
-    if not a.members or not b.members:
-        return 0j
     ia = np.fromiter(sorted(a.members), dtype=int)
     ib = np.fromiter(sorted(b.members), dtype=int)
-    idx = g.compose_table[g.inverse_table[ia][:, None], ib[None, :]]
+    idx = g.inverse_products(ia, ib)
     mask = idx >= 0
     return complex(np.sum(s.phi.values[idx[mask]]))
 

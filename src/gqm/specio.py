@@ -17,10 +17,9 @@ from __future__ import annotations
 import ast
 import json
 import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
-
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -38,9 +37,6 @@ from .groupoid import (
 from .groups import GroupTableError, group_from_table
 from .states import ContradictionReport, GroupoidFunction, State, factorizable_extend, state_from_phi
 from .algebra import element
-
-if TYPE_CHECKING:
-    from .measure import Event
 
 OUTPUT_KINDS = ("cayley", "axioms", "amplitudes", "measure", "gns", "evolve")
 
@@ -123,8 +119,6 @@ StateSource = PhiStateSource | GeneratorStateSource
 @dataclass(frozen=True)
 class HamiltonianSource:
     coeffs: tuple[complex, ...]
-    check_selfadjoint: bool = True
-    groupoid_name: str | None = None
 
 
 @dataclass(frozen=True)
@@ -137,6 +131,18 @@ class ExperimentSpec:
     name: str | None = None
 
 
+# ------------------------------------------------------- JSON value checks
+
+def _is_int(v) -> bool:
+    """A JSON integer (JSON booleans parse to bool, a subclass of int)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    """A finite JSON number that converts to float (NaN fails the bound)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
 # ----------------------------------------------------- expression evaluation
 
 _BINOPS = {ast.Add: lambda a, b: a + b, ast.Sub: lambda a, b: a - b,
@@ -145,10 +151,10 @@ _BINOPS = {ast.Add: lambda a, b: a + b, ast.Sub: lambda a, b: a - b,
 
 def eval_expr(expr: str | int | float, params: dict[str, float], path: str = "") -> float:
     """Evaluate a phase expression: numbers, params, pi, and + - * /."""
-    if isinstance(expr, bool) or not isinstance(expr, (str, int, float)):
-        raise SpecError("E_PARAM", "expression must be a number or string", path)
-    if isinstance(expr, (int, float)):
+    if _is_number(expr):
         value = float(expr)
+    elif not isinstance(expr, str):
+        raise SpecError("E_PARAM", "expression must be a finite number or a string", path)
     else:
         try:
             tree = ast.parse(expr, mode="eval")
@@ -166,8 +172,7 @@ def eval_expr(expr: str | int | float, params: dict[str, float], path: str = "")
             if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
                 v = ev(node.operand)
                 return -v if isinstance(node.op, ast.USub) else v
-            if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)) \
-                    and not isinstance(node.value, bool):
+            if isinstance(node, ast.Constant) and _is_number(node.value):
                 return float(node.value)
             if isinstance(node, ast.Name):
                 if node.id == "pi":
@@ -233,35 +238,24 @@ def spec_from_json(doc) -> ExperimentSpec:
     )
 
 
-def _parse_labels(doc, n, path) -> tuple[str, ...] | None:
-    if "labels" not in doc:
-        return None
-    labels = doc["labels"]
-    if (not isinstance(labels, list) or len(labels) != n
-            or not all(isinstance(s, str) for s in labels)):
-        raise SpecError("E_SCHEMA", f"'labels' must be a list of {n} strings", path)
-    if len(set(labels)) != n:
+def _parse_labels(val, path, n: int | None = None) -> tuple[str, ...]:
+    """Unique outcome labels: exactly ``n`` of them, or at least one."""
+    if (not isinstance(val, list) or not val or (n is not None and len(val) != n)
+            or not all(isinstance(s, str) for s in val)):
+        want = f"a list of {n} strings" if n else "a non-empty list of strings"
+        raise SpecError("E_SCHEMA", f"'{path.rsplit('.', 1)[-1]}' must be {want}", path)
+    if len(set(val)) != len(val):
         raise SpecError("E_OUTCOME", "outcome labels must be unique", path)
-    return tuple(labels)
+    return tuple(val)
 
 
 def _parse_int_args(val, count, path) -> tuple[int, ...]:
     if (not isinstance(val, list) or len(val) != count
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in val)):
+            or not all(_is_int(v) for v in val)):
         raise SpecError("E_SCHEMA", f"constructor arguments must be {count} integers", path)
     if any(v < 1 for v in val):
         raise SpecError("E_SCHEMA", "constructor arguments must be >= 1", path)
     return tuple(val)
-
-
-def _parse_outcomes(doc, path) -> tuple[str, ...]:
-    outcomes = doc.get("outcomes")
-    if (not isinstance(outcomes, list) or not outcomes
-            or not all(isinstance(s, str) for s in outcomes)):
-        raise SpecError("E_SCHEMA", "'outcomes' must be a non-empty list of strings", f"{path}.outcomes")
-    if len(set(outcomes)) != len(outcomes):
-        raise SpecError("E_OUTCOME", "outcome labels must be unique", f"{path}.outcomes")
-    return tuple(outcomes)
 
 
 def _parse_groupoid_source(doc, path) -> GroupoidSource:
@@ -271,15 +265,17 @@ def _parse_groupoid_source(doc, path) -> GroupoidSource:
     if "cyclic" in doc:
         _reject_extra(doc, {"cyclic", "labels"}, path)
         n, k = _parse_int_args(doc["cyclic"], 2, f"{path}.cyclic")
-        return CyclicSource(n, k, _parse_labels(doc, n, f"{path}.labels"))
+        labels = _parse_labels(doc["labels"], f"{path}.labels", n) if "labels" in doc else None
+        return CyclicSource(n, k, labels)
     if "pair" in doc:
         _reject_extra(doc, {"pair", "labels"}, path)
         (n,) = _parse_int_args(doc["pair"], 1, f"{path}.pair")
-        return PairSource(n, _parse_labels(doc, n, f"{path}.labels"))
+        labels = _parse_labels(doc["labels"], f"{path}.labels", n) if "labels" in doc else None
+        return PairSource(n, labels)
 
     if "generators" in doc:
         _reject_extra(doc, {"outcomes", "group", "generators"}, path)
-        outcomes = _parse_outcomes(doc, path)
+        outcomes = _parse_labels(doc.get("outcomes"), f"{path}.outcomes")
         group = doc.get("group")
         if not isinstance(group, dict) or "table" not in group:
             raise SpecError("E_SCHEMA", "quiver form requires 'group' with a 'table'", f"{path}.group")
@@ -304,7 +300,7 @@ def _parse_groupoid_source(doc, path) -> GroupoidSource:
             src, tgt, lab = gen["source"], gen["target"], gen["label"]
             if src not in outcomes or tgt not in outcomes:
                 raise SpecError("E_OUTCOME", f"generator endpoint {src!r}->{tgt!r} not a declared outcome", gpath)
-            if not isinstance(lab, int) or isinstance(lab, bool) or not 0 <= lab < grp.order:
+            if not _is_int(lab) or not 0 <= lab < grp.order:
                 raise SpecError("E_TRANSITION", f"label must be a group element index 0..{grp.order - 1}", gpath)
             nm = gen.get("name", f"g{i}")
             if not isinstance(nm, str) or nm in names:
@@ -315,7 +311,7 @@ def _parse_groupoid_source(doc, path) -> GroupoidSource:
 
     if "compose_table" in doc:
         _reject_extra(doc, {"outcomes", "transitions", "compose_table"}, path)
-        outcomes = _parse_outcomes(doc, path)
+        outcomes = _parse_labels(doc.get("outcomes"), f"{path}.outcomes")
         trs = doc.get("transitions")
         if not isinstance(trs, list) or not trs:
             raise SpecError("E_SCHEMA", "'transitions' must be a non-empty list", f"{path}.transitions")
@@ -328,7 +324,7 @@ def _parse_groupoid_source(doc, path) -> GroupoidSource:
             if t["source"] not in outcomes or t["target"] not in outcomes:
                 raise SpecError("E_TRANSITION", "transition endpoint not a declared outcome", tpath)
             lab = t.get("label", 0)
-            if not isinstance(lab, int) or isinstance(lab, bool) or lab < 0:
+            if not _is_int(lab) or lab < 0:
                 raise SpecError("E_TRANSITION", "transition label must be a non-negative integer", tpath)
             nm = t.get("name")
             if nm is not None and not isinstance(nm, str):
@@ -339,17 +335,14 @@ def _parse_groupoid_source(doc, path) -> GroupoidSource:
         if (not isinstance(ct, list) or len(ct) != n
                 or any(not isinstance(row, list) or len(row) != n for row in ct)):
             raise SpecError("E_SCHEMA", f"'compose_table' must be {n}x{n}", f"{path}.compose_table")
-        rows = []
         for i, row in enumerate(ct):
             for j, v in enumerate(row):
-                if v is not None and (not isinstance(v, int) or isinstance(v, bool)
-                                      or not 0 <= v < n):
+                if v is not None and not (_is_int(v) and 0 <= v < n):
                     raise SpecError(
                         "E_SCHEMA", "compose table entries must be transition ids or null",
                         f"{path}.compose_table[{i}][{j}]",
                     )
-            rows.append(tuple(row))
-        return ExplicitSource(outcomes, tuple(specs), tuple(rows))
+        return ExplicitSource(outcomes, tuple(specs), tuple(tuple(row) for row in ct))
 
     structural = {"outcomes", "group", "generators", "transitions", "compose_table", "labels"}
     foreign = [k for k in doc if k not in structural]
@@ -369,11 +362,8 @@ def _parse_complex_list(val, path) -> tuple[complex, ...]:
         raise SpecError("E_SCHEMA", "expected a non-empty list of [re, im] pairs", path)
     out = []
     for i, pair in enumerate(val):
-        if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)):
-            raise SpecError("E_SCHEMA", "expected [re, im] number pairs", f"{path}[{i}]")
-        if not all(math.isfinite(float(v)) for v in pair):
-            raise SpecError("E_SCHEMA", "coefficients must be finite", f"{path}[{i}]")
+        if not isinstance(pair, list) or len(pair) != 2 or not all(_is_number(v) for v in pair):
+            raise SpecError("E_SCHEMA", "expected [re, im] pairs of finite numbers", f"{path}[{i}]")
         out.append(complex(float(pair[0]), float(pair[1])))
     return tuple(out)
 
@@ -386,8 +376,7 @@ def _parse_state_source(doc, path) -> StateSource:
         phi = _parse_complex_list(doc["phi"], f"{path}.phi")
         weight = doc.get("weight")
         if weight is not None:
-            if not isinstance(weight, (int, float)) or isinstance(weight, bool) \
-                    or not math.isfinite(float(weight)) or weight <= 0:
+            if not _is_number(weight) or weight <= 0:
                 raise SpecError("E_STATE", "'weight' must be a positive number", f"{path}.weight")
             weight = float(weight)
         return PhiStateSource(phi, weight)
@@ -397,8 +386,7 @@ def _parse_state_source(doc, path) -> StateSource:
         raise SpecError("E_SCHEMA", "'params' must be an object", f"{path}.params")
     params = {}
     for key, val in raw_params.items():
-        if (not isinstance(val, (int, float)) or isinstance(val, bool)
-                or not math.isfinite(float(val))):
+        if not _is_number(val):
             raise SpecError("E_PARAM", f"parameter {key!r} must be a finite number", f"{path}.params.{key}")
         params[key] = float(val)
     phases = []
@@ -417,15 +405,8 @@ def _parse_state_source(doc, path) -> StateSource:
 def _parse_hamiltonian(doc, path) -> HamiltonianSource:
     if not isinstance(doc, dict) or "coeffs" not in doc:
         raise SpecError("E_SCHEMA", "'hamiltonian' must be an object with 'coeffs'", path)
-    _reject_extra(doc, {"coeffs", "check_selfadjoint", "groupoid"}, path)
-    coeffs = _parse_complex_list(doc["coeffs"], f"{path}.coeffs")
-    check = doc.get("check_selfadjoint", True)
-    if not isinstance(check, bool):
-        raise SpecError("E_SCHEMA", "'check_selfadjoint' must be a boolean", f"{path}.check_selfadjoint")
-    gname = doc.get("groupoid")
-    if gname is not None and not isinstance(gname, str):
-        raise SpecError("E_SCHEMA", "'groupoid' must be a string", f"{path}.groupoid")
-    return HamiltonianSource(coeffs, check, gname)
+    _reject_extra(doc, {"coeffs"}, path)
+    return HamiltonianSource(_parse_complex_list(doc["coeffs"], f"{path}.coeffs"))
 
 
 def _parse_grid(doc, path) -> TimeGrid:
@@ -433,9 +414,9 @@ def _parse_grid(doc, path) -> TimeGrid:
         raise SpecError("E_GRID", "'grid' must have exactly start, stop, steps", path)
     start, stop, steps = doc["start"], doc["stop"], doc["steps"]
     for key, v in (("start", start), ("stop", stop)):
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(float(v)):
+        if not _is_number(v):
             raise SpecError("E_GRID", f"'{key}' must be a finite number", f"{path}.{key}")
-    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
+    if not _is_int(steps) or steps < 1:
         raise SpecError("E_GRID", "'steps' must be a positive integer", f"{path}.steps")
     if float(stop) < float(start):
         raise SpecError("E_GRID", "'stop' must be >= 'start'", path)
@@ -459,38 +440,23 @@ def _parse_outputs(val, path) -> tuple[str, ...]:
 
 def print_spec(spec: ExperimentSpec) -> str:
     """Canonical JSON rendering; parse(print_spec(s)) == s."""
-    return json.dumps(spec_to_json(spec), indent=2, sort_keys=True) + "\n"
-
-
-def spec_to_json(spec: ExperimentSpec) -> dict:
     doc: dict = {"groupoid_source": _groupoid_source_to_json(spec.groupoid_source)}
     if spec.name is not None:
         doc["name"] = spec.name
     if spec.state_source is not None:
         doc["state_source"] = _state_source_to_json(spec.state_source)
     if spec.hamiltonian is not None:
-        h: dict = {
-            "coeffs": [[c.real, c.imag] for c in spec.hamiltonian.coeffs],
-            "check_selfadjoint": spec.hamiltonian.check_selfadjoint,
-        }
-        if spec.hamiltonian.groupoid_name is not None:
-            h["groupoid"] = spec.hamiltonian.groupoid_name
-        doc["hamiltonian"] = h
+        doc["hamiltonian"] = {"coeffs": [[c.real, c.imag] for c in spec.hamiltonian.coeffs]}
     if spec.grid is not None:
         doc["grid"] = {"start": spec.grid.start, "stop": spec.grid.stop, "steps": spec.grid.steps}
     if spec.requested_outputs:
         doc["requested_outputs"] = list(spec.requested_outputs)
-    return doc
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _groupoid_source_to_json(src: GroupoidSource) -> dict:
-    if isinstance(src, CyclicSource):
-        doc = {"cyclic": [src.n, src.k]}
-        if src.labels is not None:
-            doc["labels"] = list(src.labels)
-        return doc
-    if isinstance(src, PairSource):
-        doc = {"pair": [src.n]}
+    if isinstance(src, (CyclicSource, PairSource)):
+        doc = {"cyclic": [src.n, src.k]} if isinstance(src, CyclicSource) else {"pair": [src.n]}
         if src.labels is not None:
             doc["labels"] = list(src.labels)
         return doc
@@ -503,7 +469,7 @@ def _groupoid_source_to_json(src: GroupoidSource) -> dict:
                 for g in src.generators
             ],
         }
-    doc = {
+    return {
         "outcomes": list(src.outcomes),
         "transitions": [
             {"source": t.source, "target": t.target, "label": t.label,
@@ -512,7 +478,6 @@ def _groupoid_source_to_json(src: GroupoidSource) -> dict:
         ],
         "compose_table": [list(r) for r in src.compose_table],
     }
-    return doc
 
 
 def _state_source_to_json(src: StateSource) -> dict:
@@ -555,7 +520,7 @@ def build_groupoid(src: GroupoidSource) -> tuple[FiniteGroupoid, Quiver | None]:
         g = from_compose_table(
             src.outcomes,
             [(t.source, t.target, t.label) for t in src.transitions],
-            [[None if v is None else int(v) for v in row] for row in src.compose_table],
+            src.compose_table,
         )
     except GroupoidAxiomError as exc:
         raise SpecError("E_AXIOMS", f"explicit table rejected: {exc}", "groupoid_source") from None
@@ -608,13 +573,7 @@ def build_state(
         raise SpecError("E_STATE", str(exc), "state_source") from None
 
 
-def build_hamiltonian(src: HamiltonianSource, g: FiniteGroupoid, spec_name: str | None) -> Hamiltonian:
-    if src.groupoid_name is not None and spec_name is not None and src.groupoid_name != spec_name:
-        raise SpecError(
-            "E_HAMILTONIAN",
-            f"hamiltonian names groupoid {src.groupoid_name!r} but the spec is {spec_name!r}",
-            "hamiltonian.groupoid",
-        )
+def build_hamiltonian(src: HamiltonianSource, g: FiniteGroupoid) -> Hamiltonian:
     if len(src.coeffs) != g.n_transitions:
         raise SpecError(
             "E_HAMILTONIAN",
@@ -631,60 +590,16 @@ def build_experiment(spec: ExperimentSpec) -> BuiltExperiment:
     """Construct every object the spec declares, with spec-level errors."""
     g, quiver = build_groupoid(spec.groupoid_source)
     state = build_state(spec.state_source, g, quiver) if spec.state_source else None
-    ham = (
-        build_hamiltonian(spec.hamiltonian, g, spec.name)
-        if spec.hamiltonian else None
-    )
+    ham = build_hamiltonian(spec.hamiltonian, g) if spec.hamiltonian else None
     return BuiltExperiment(
         spec=spec, groupoid=g, quiver=quiver, state=state,
         hamiltonian=ham, grid=spec.grid,
     )
 
 
-def event_from_json(g: FiniteGroupoid, doc) -> "Event":
-    """Event document: {"transitions": [ids...]} or the fiber shorthand
-    {"from": "x", "to": "y"} for the set of transitions x -> y."""
-    from .measure import event, fiber_event
-
-    if not isinstance(doc, dict):
-        raise SpecError("E_SCHEMA", "event must be an object", "event")
-    if "transitions" in doc:
-        _reject_extra(doc, {"transitions"}, "event")
-        ids = doc["transitions"]
-        if not isinstance(ids, list) or not all(
-            isinstance(i, int) and not isinstance(i, bool) for i in ids
-        ):
-            raise SpecError("E_SCHEMA", "'transitions' must be a list of ids", "event.transitions")
-        bad = [i for i in ids if not 0 <= i < g.n_transitions]
-        if bad:
-            raise SpecError("E_TRANSITION", f"{bad[0]} is not a transition id", "event.transitions")
-        return event(ids)
-    if {"from", "to"} <= set(doc):
-        _reject_extra(doc, {"from", "to"}, "event")
-        for key in ("from", "to"):
-            if not isinstance(doc[key], str):
-                raise SpecError("E_SCHEMA", f"'{key}' must be an outcome label", f"event.{key}")
-        try:
-            return fiber_event(g, doc["from"], doc["to"])
-        except KeyError:
-            raise SpecError(
-                "E_OUTCOME", f"unknown outcome in {doc['from']!r} -> {doc['to']!r}", "event"
-            ) from None
-    raise SpecError("E_SCHEMA", "event needs 'transitions' or 'from'/'to'", "event")
-
-
-def event_to_json(ev) -> dict:
-    return {"transitions": sorted(ev.members)}
-
-
 def load_spec_file(path) -> ExperimentSpec:
     with open(path, "rb") as fh:
         return parse_spec(fh.read())
-
-
-def bundled_spec_names() -> list[str]:
-    root = resources.files("gqm").joinpath("specs")
-    return sorted(p.name for p in root.iterdir() if p.name.endswith(".json"))
 
 
 def read_bundled(name: str) -> bytes:

@@ -111,8 +111,7 @@ def is_positive_definite(
         fib = g.target_fibers[o.id]
         if len(fib) == 0:
             continue
-        idx = g.compose_table[g.inverse_table[fib][:, None], fib[None, :]]
-        m = vals[idx]
+        m = vals[g.inverse_products(fib, fib)]
         scale = float(np.max(np.abs(m))) or 1.0
         herm = float(np.max(np.abs(m - m.conj().T)))
         worst_herm = max(worst_herm, herm)

@@ -1,5 +1,11 @@
 import csv
+import importlib.util
+import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,7 +174,6 @@ def test_pair2_gns_output(specdir):
     assert np.vdot(fv, fv).real == pytest.approx(4.0, abs=1e-10)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow too
 def test_non_finite_grid_is_numeric_error(specdir, capsys):
     out = specdir / "huge"
     code = run_cli("evolve", "--spec", specdir / "ratchet.json", "--out", out,
@@ -200,3 +205,92 @@ def test_unexpected_exception_is_internal_error(specdir, capsys, monkeypatch):
     assert code == 4
     assert err.startswith("E_INTERNAL:") and "writer exploded" in err
     assert "Traceback" not in err
+
+
+def test_non_finite_grid_diagnostic_is_first_on_stderr(specdir):
+    # a subprocess, because pytest would capture numpy's RuntimeWarnings
+    env = {**os.environ, "PYTHONPATH": str(Path(gqm.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "gqm.cli", "evolve", "--spec", str(specdir / "ratchet.json"),
+         "--out", str(specdir / "huge"), "--t-start=-1e308", "--t-stop=1e308", "--t-steps=3"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[0].startswith("E_NUMERIC: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check"], "the following arguments are required: --spec"),
+    ([], "the following arguments are required: command"),
+    (["frobnicate", "--spec", "x.json"], "invalid choice: 'frobnicate'"),
+    (["evolve", "--spec", "x.json", "--t-steps", "many"], "invalid int value: 'many'"),
+    (["check", "--spec", "x.json", "--format", "xml"], "invalid choice: 'xml'"),
+])
+def test_usage_errors_carry_a_code(argv, message, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("E_USAGE: ") and message in err.splitlines()[0]
+
+
+def test_help_is_unchanged(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gqm")
+
+
+# verb -> (output kind, default format) of every file it writes
+VERB_FILES = {
+    "check": [("axioms", "json")],
+    "cayley": [("cayley", "csv")],
+    "state": [("state", "json")],
+    "evolve": [("amplitudes", "csv"), ("evolve", "csv")],
+    "measure": [("measure", "json")],
+    "gns": [("gns", "json")],
+}
+# (spec, verb) -> diagnostic code, for verbs the spec cannot serve
+VERB_FAILS = {
+    **{("cyclic_only.json", v): "E_NO_STATE" for v in ("state", "evolve", "measure", "gns")},
+    ("pair2.json", "evolve"): "E_NO_HAMILTONIAN",
+}
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_FILES))
+@pytest.mark.parametrize("name", ["ratchet.json", "qubit.json", "pair2.json", "cyclic_only.json"])
+def test_every_verb_and_format_writes_its_files(specdir, capsys, name, verb):
+    for fmt in (None, "json", "csv"):
+        out = specdir / f"{verb}-{fmt}"
+        code = run_cli(verb, "--spec", specdir / name, "--out", out,
+                       *(["--format", fmt] if fmt else []))
+        stdout, stderr = capsys.readouterr()
+        if (name, verb) in VERB_FAILS:
+            assert code == 2 and stderr.startswith(VERB_FAILS[name, verb] + ": ")
+            assert not any(out.iterdir())
+            continue
+        assert code == 0, stderr
+        want = [f"{kind}.{fmt or default}" for kind, default in VERB_FILES[verb]]
+        assert sorted(p.name for p in out.iterdir()) == sorted(want)
+        assert [Path(line).name for line in stdout.splitlines()] == want
+        for fname in want:
+            path = out / fname
+            if path.suffix == ".json":
+                assert isinstance(json.loads(path.read_text()), dict)
+            else:
+                header, rows = read_csv(path)
+                assert rows and all(len(row) == len(header) for row in rows)
+
+
+def test_perfbench_bindings_resolve():
+    """Every name the benchmark tracer wraps must still exist."""
+    spans_py = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    if not spans_py.exists():
+        pytest.skip("perfbench/ is not in this checkout")
+    spec = importlib.util.spec_from_file_location("perfbench_spans", spans_py)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for owner, attr, name, _ in spans.bindings(gqm.cli):
+        assert callable(getattr(owner, attr, None)), (owner, attr, name)
+    for kind, entry in gqm.cli._OUTPUT_WRITERS.items():
+        writer, fmt = entry
+        assert inspect.isfunction(writer) and writer.__name__.startswith("write_"), kind
+        assert fmt in ("json", "csv"), kind

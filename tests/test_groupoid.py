@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gqm
-from gqm.groupoid import FiniteGroupoid
+from gqm.groupoid import FiniteGroupoid, _from_triples
 
 from conftest import name_ids
 from golden_c23 import COL_ORDER, ROW_ORDER, TRIPLES, golden_compose, golden_inverse
@@ -32,6 +35,15 @@ def test_quiver_closure_equals_constructor(c23, ratchet_quiver):
     assert g.n_transitions == 12
     assert g == c23
     all_products_match(g, name_ids(g))
+
+
+def test_inverse_products_gather(c23):
+    ids = np.arange(c23.n_transitions)
+    table = c23.inverse_products(ids, ids[::-1])
+    for i in ids:
+        for j, b in enumerate(ids[::-1]):
+            c = c23.compose(c23.inverse(int(i)), int(b))
+            assert table[i, j] == (-1 if c is None else c.id)
 
 
 def test_compose_spot_values(c23, ids):
@@ -251,3 +263,51 @@ def test_one_object_groupoid_is_the_group():
         for b in range(5):
             c = g.compose(a, b)
             assert c is not None and c.label == (g.transitions[a].label + g.transitions[b].label) % 5
+
+
+# ------------------------------------- quiver closure vs the fixed point
+
+S3_PERMS = list(itertools.permutations(range(3)))
+S3 = gqm.group_from_table(
+    [[S3_PERMS.index(tuple(p[i] for i in q)) for q in S3_PERMS] for p in S3_PERMS]
+)
+
+
+def fixed_point_closure(q):
+    """Reference: add every composite of two known arrows until none is new."""
+    grp = q.group
+    triples = {(o.id, grp.identity, o.id) for o in q.outcomes}
+    for t in q.generators:
+        triples.add((t.target, t.label, t.source))
+        triples.add((t.source, grp.inv(t.label), t.target))
+    while True:
+        new = {
+            (y2, grp.mul(g2, g1), x1)
+            for (y2, g2, x2) in triples
+            for (y1, g1, x1) in triples
+            if x2 == y1
+        } - triples
+        if not new:
+            return _from_triples(q.outcomes, grp, triples)
+        triples |= new
+
+
+@st.composite
+def quivers(draw):
+    n_out = draw(st.integers(1, 4))
+    group = S3 if draw(st.booleans()) else gqm.cyclic_group(draw(st.integers(1, 5)))
+    labels = [f"o{i}" for i in range(n_out)]
+    arrows = draw(st.lists(
+        st.tuples(st.sampled_from(labels), st.sampled_from(labels),
+                  st.integers(0, group.order - 1)),
+        max_size=5, unique=True,
+    ))
+    return gqm.make_quiver(labels, group, arrows)
+
+
+@settings(deadline=None)
+@given(quivers())
+def test_generate_from_quiver_matches_fixed_point_closure(q):
+    g = gqm.generate_from_quiver(q)
+    assert g == fixed_point_closure(q)
+    assert gqm.check_axioms(g).ok

@@ -158,17 +158,6 @@ def test_nan_grid_rejected_via_json_text():
     assert err.value.code == "E_GRID"
 
 
-def test_hamiltonian_groupoid_name_mismatch():
-    doc = {
-        "name": "thing",
-        "groupoid_source": {"pair": [1]},
-        "hamiltonian": {"coeffs": [[1, 0]], "groupoid": "other"},
-    }
-    with pytest.raises(SpecError) as err:
-        build_experiment(spec_from_json(doc))
-    assert err.value.code == "E_HAMILTONIAN"
-
-
 def test_non_utf8_is_syntax_error():
     with pytest.raises(SpecError) as err:
         parse_spec(b"\xff\xfe{}")
@@ -199,30 +188,6 @@ def test_bundled_ratchet_state_matches_library_state(ratchet_state):
     assert np.max(np.abs(built.state.phi.values - ratchet_state.phi.values)) < 1e-12
 
 
-def test_event_json_forms(c23, ids):
-    from gqm.specio import event_from_json, event_to_json
-
-    ev = event_from_json(c23, {"transitions": [ids["a1"], ids["a2"]]})
-    assert ev.members == {ids["a1"], ids["a2"]}
-    assert event_to_json(ev) == {"transitions": sorted([ids["a1"], ids["a2"]])}
-    # round trip through the document form
-    assert event_from_json(c23, event_to_json(ev)) == ev
-
-    fiber = event_from_json(c23, {"from": "+", "to": "-"})
-    assert fiber.members == {ids["b1"], ids["b2"], ids["b3"]}
-
-    for doc, code in (
-        ({"transitions": [99]}, "E_TRANSITION"),
-        ({"transitions": "x"}, "E_SCHEMA"),
-        ({"from": "+", "to": "?"}, "E_OUTCOME"),
-        ({"nope": 1}, "E_SCHEMA"),
-        ([1, 2], "E_SCHEMA"),
-    ):
-        with pytest.raises(SpecError) as err:
-            event_from_json(c23, doc)
-        assert err.value.code == code
-
-
 def test_run_produces_requested_artifacts(tmp_path):
     from gqm.cli import run
 
@@ -236,3 +201,32 @@ def test_run_produces_requested_artifacts(tmp_path):
     spec2 = parse_spec(read_bundled("cyclic_only.json"))
     written2 = run(spec2, tmp_path / "arts2")
     assert sorted(p.name for p in written2) == ["axioms.json", "cayley.csv"]
+
+
+def test_hamiltonian_takes_only_coeffs():
+    for extra in ({"check_selfadjoint": True}, {"groupoid": "thing"}):
+        doc = {"groupoid_source": {"pair": [1]}, "hamiltonian": {"coeffs": [[1, 0]], **extra}}
+        with pytest.raises(SpecError) as err:
+            spec_from_json(doc)
+        assert err.value.code == "E_SCHEMA" and err.value.path == f"hamiltonian.{next(iter(extra))}"
+
+
+@pytest.mark.parametrize("doc, code", [
+    ({"groupoid_source": {"cyclic": [True, 2]}}, "E_SCHEMA"),
+    ({"groupoid_source": {"pair": [1]}, "grid": {"start": 0, "stop": 1, "steps": True}}, "E_GRID"),
+    ({"groupoid_source": {"pair": [1]}, "grid": {"start": False, "stop": 1, "steps": 2}}, "E_GRID"),
+    ({"groupoid_source": {"pair": [1]}, "hamiltonian": {"coeffs": [[True, 0]]}}, "E_SCHEMA"),
+    ({"groupoid_source": {"pair": [1]}, "state_source": {"phi": [[1, 0]], "weight": True}}, "E_STATE"),
+    ({"groupoid_source": {"pair": [1]}, "state_source": {"g0": {"phase": True}}}, "E_PARAM"),
+    ({"groupoid_source": {"pair": [1]},
+      "state_source": {"g0": {"phase": "s"}, "params": {"s": True}}}, "E_PARAM"),
+    # integers beyond the float range are not numbers either
+    ({"groupoid_source": {"pair": [1]}, "grid": {"start": 0, "stop": 10**400, "steps": 2}}, "E_GRID"),
+    ({"groupoid_source": {"pair": [1]}, "hamiltonian": {"coeffs": [[10**400, 0]]}}, "E_SCHEMA"),
+    ({"groupoid_source": {"pair": [1]},
+      "state_source": {"g0": {"phase": "1" + "0" * 400}, "params": {}}}, "E_PARAM"),
+])
+def test_non_numbers_are_rejected(doc, code):
+    with pytest.raises(SpecError) as err:
+        spec_from_json(doc)
+    assert err.value.code == code
