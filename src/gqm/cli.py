@@ -9,7 +9,7 @@ Exit code 0 on success; on failure a machine-readable diagnostic
 code is printed first on stderr and the exit code is nonzero: 2 for a
 spec that cannot be evaluated (E_NUMERIC when it yields non-finite
 amplitudes or trajectories) and for a bad command line (E_USAGE), 3 for
-E_IO, 4 for E_INTERNAL.
+E_IO, 4 for E_INTERNAL. A failing verb leaves no files behind.
 """
 
 from __future__ import annotations
@@ -17,8 +17,11 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -238,17 +241,28 @@ _OUTPUT_WRITERS = {
 def _write_outputs(built: BuiltExperiment, kinds, outdir, fmt: str | None) -> list[Path]:
     """Write each output kind in order, in ``fmt`` or the kind's default.
 
+    The writers fill a staging directory in ``outdir`` or its nearest
+    existing ancestor, so that moving a file out of it is a rename on one
+    file system. Only when every writer has succeeded is ``outdir``
+    created and each file renamed into it: a failing verb leaves no
+    files behind.
+
     numpy's floating-point warnings are silenced: the finite-output
     guards report a bad grid or Hamiltonian as E_NUMERIC instead.
     """
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-    with np.errstate(all="ignore"):
-        for kind in kinds:
-            writer, default_fmt = _OUTPUT_WRITERS[kind]
-            written.append(writer(built, outdir, fmt or default_fmt))
-    return written
+    base = next(p for p in (outdir, *outdir.parents) if p.exists())
+    stage = Path(tempfile.mkdtemp(prefix=".gqm-", dir=base))
+    try:
+        staged = []
+        with np.errstate(all="ignore"):
+            for kind in kinds:
+                writer, default_fmt = _OUTPUT_WRITERS[kind]
+                staged.append(writer(built, stage, fmt or default_fmt))
+        outdir.mkdir(parents=True, exist_ok=True)
+        return [path.replace(outdir / path.name) for path in staged]
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def run(spec, outdir: Path, fmt: str | None = None) -> list[Path]:
@@ -281,7 +295,10 @@ class _Parser(argparse.ArgumentParser):
         raise SpecError("E_USAGE", message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The gqm parser, built once per process and shared: building it
+    costs more than most small verbs, and parsing does not change it."""
     parser = _Parser(
         prog="gqm", description="Evaluate groupoid quantum mechanics experiment specs."
     )

@@ -147,19 +147,10 @@ def amplitude_grid(
     one batched exp over all times; u_t itself is never formed.
     """
     g = s.groupoid
-    xid, yid = _outcome_id(g, x), _outcome_id(g, y)
     evals, vecs = h.spectrum()
-    arrows = np.flatnonzero((g.source == xid) & (g.target == yid))
-    c = (s.phi.values[arrows] @ vecs[arrows]) * vecs[g.unit_table[xid]].conj()
+    arrows = g.arrows(x, y)
+    c = (s.phi.values[arrows] @ vecs[arrows]) * vecs[g.unit(x).id].conj()
     return s.weight * (np.exp(1j * np.outer(grid.times, evals)) @ c)
-
-
-def _outcome_id(g: FiniteGroupoid, x: Outcome | int | str) -> int:
-    if isinstance(x, Outcome):
-        return x.id
-    if isinstance(x, str):
-        return g.outcome(x).id
-    return int(x)
 
 
 def schrodinger_evolve(

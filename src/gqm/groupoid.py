@@ -14,6 +14,7 @@ collapse onto one transition.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,6 +111,10 @@ class FiniteGroupoid:
             raise ValueError("transition ids must be dense 0..|G|-1")
         if self.compose_table.shape != (n, n):
             raise ValueError("compose table shape must be |G| x |G|")
+        if self.inverse_table.shape != (n,):
+            raise ValueError("inverse table must have one entry per transition")
+        if self.unit_table.shape != (len(self.outcomes),):
+            raise ValueError("unit table must have one entry per outcome")
 
         self.source = np.array([t.source for t in self.transitions], dtype=int)
         self.target = np.array([t.target for t in self.transitions], dtype=int)
@@ -170,9 +175,20 @@ class FiniteGroupoid:
     def inverse(self, a: Transition | int) -> Transition:
         return self.transitions[self.inverse_table[_tid(a)]]
 
-    def unit(self, x: Outcome | int) -> Transition:
-        xid = x.id if isinstance(x, Outcome) else x
-        return self.transitions[self.unit_table[xid]]
+    def unit(self, x: Outcome | int | str) -> Transition:
+        return self.transitions[self.unit_table[self.outcome_id(x)]]
+
+    def outcome_id(self, x: Outcome | int | str) -> int:
+        """Id of an outcome given as an Outcome, its id or its label."""
+        if isinstance(x, Outcome):
+            return x.id
+        return self.outcome(x).id if isinstance(x, str) else int(x)
+
+    def arrows(self, x: Outcome | int | str, y: Outcome | int | str) -> np.ndarray:
+        """Ids of the transitions x -> y, ascending."""
+        return np.flatnonzero(
+            (self.source == self.outcome_id(x)) & (self.target == self.outcome_id(y))
+        )
 
     def inverse_products(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """ids of a^-1 ∘ b for every a in ``a`` (rows) and b in ``b``
@@ -321,8 +337,9 @@ def from_compose_table(
 
     ``transitions`` is a sequence of (source_label, target_label, label)
     triples; ``compose_table`` entries are transition ids or None for
-    undefined. Units and inverses are derived from the table; any axiom
-    failure raises GroupoidAxiomError instead of loading lazily.
+    undefined. Units and inverses are derived from the table, then
+    ``check_axioms`` checks every law exhaustively; any failure raises
+    GroupoidAxiomError instead of loading lazily.
     """
     outcomes, trs = _labeled_transitions(outcome_labels, transitions, "transition")
     n = len(trs)
@@ -335,37 +352,24 @@ def from_compose_table(
     if ct.min() < UNDEFINED or ct.max() >= n:
         raise ValueError("compose table entries must be transition ids or null")
 
-    unit_table = np.full(len(outcomes), UNDEFINED, dtype=int)
-    for t in trs:
-        if t.source == t.target and ct[t.id, t.id] == t.id:
-            xs = np.nonzero([u.source == t.source for u in trs])[0]
-            ys = np.nonzero([u.target == t.target for u in trs])[0]
-            if np.all(ct[xs, t.id] == xs) and np.all(ct[t.id, ys] == ys):
-                if unit_table[t.source] != UNDEFINED:
-                    raise GroupoidAxiomError(AxiomReport((AxiomViolation(
-                        "unit", f"outcome {outcomes[t.source].label!r} has two units"),)))
-                unit_table[t.source] = t.id
-    missing = [o.label for o in outcomes if unit_table[o.id] == UNDEFINED]
-    if missing:
-        raise GroupoidAxiomError(AxiomReport(tuple(
-            AxiomViolation("unit", f"outcome {lab!r} has no unit") for lab in missing)))
-
-    inverse_table = np.full(n, UNDEFINED, dtype=int)
-    for t in trs:
-        for b in range(n):
-            if (
-                ct[t.id, b] == unit_table[t.target]
-                and ct[b, t.id] == unit_table[t.source]
-            ):
-                inverse_table[t.id] = b
-                break
-        else:
-            raise GroupoidAxiomError(AxiomReport((AxiomViolation(
-                "inverse", f"transition {t.id} has no two-sided inverse"),)))
+    # In a groupoid 1_x is the only idempotent at x, and a^-1 the only b
+    # with a∘b = 1_{t(a)}. Tables read that way are then judged, law by
+    # law, by check_axioms; if they are wrong, some law fails.
+    ids = np.arange(n)
+    src = np.array([t.source for t in trs], dtype=int)
+    tgt = np.array([t.target for t in trs], dtype=int)
+    idempotent = (src == tgt) & (ct.diagonal() == ids)
+    unit_table = _first_true(idempotent & (src == np.arange(len(outcomes))[:, None]))
+    inverse_table = _first_true((ct == unit_table[tgt][:, None]) & (ct >= 0))
 
     return FiniteGroupoid(
         outcomes, trs, ct, inverse_table, unit_table, group=group, validate=True
     )
+
+
+def _first_true(mask: np.ndarray) -> np.ndarray:
+    """Column of the first True in each row of ``mask``, or UNDEFINED."""
+    return np.where(mask.any(axis=1), mask.argmax(axis=1), UNDEFINED)
 
 
 def pair_groupoid(n: int, labels=None) -> FiniteGroupoid:
@@ -440,98 +444,76 @@ def check_axioms(g: FiniteGroupoid, max_violations: int = 1000) -> AxiomReport:
     Checked: composability/closure (defined iff source matches target,
     endpoint coherence of results), associativity on all composable
     triples, unit laws, inverse laws, and reversibility (inverse is a
-    bijection). An empty report means a valid groupoid.
+    bijection). An empty report means a valid groupoid. The report keeps
+    the first ``max_violations``; ``truncated`` says there were more.
     """
-    out: list[AxiomViolation] = []
-    truncated = False
+    limit = max(max_violations, 0)
+    found = list(itertools.islice(_violations(g), limit + 1))
+    return AxiomReport(
+        tuple(AxiomViolation(kind, detail) for kind, detail in found[:limit]),
+        truncated=len(found) > limit,
+    )
 
-    def add(kind: str, detail: str) -> bool:
-        nonlocal truncated
-        if len(out) >= max_violations:
-            truncated = True
-            return False
-        out.append(AxiomViolation(kind, detail))
-        return True
 
+def _violations(g: FiniteGroupoid):
+    """(kind, detail) of each axiom violation, lazily, in report order."""
     n = g.n_transitions
-    ct = g.compose_table
+    ct, src, tgt = g.compose_table, g.source, g.target
     name = _short_name(g)
 
     # table sanity; everything after guards against out-of-range entries
     ok_range = (ct >= UNDEFINED) & (ct < n)
     for a, b in np.argwhere(~ok_range):
-        add("closure", f"entry ({name(a)}, {name(b)}) is not a transition id")
+        yield "closure", f"entry ({name(a)}, {name(b)}) is not a transition id"
     defined = ok_range & (ct >= 0)
 
     # composability: defined iff s(a) == t(b); endpoints of results coherent
-    should = g.source[:, None] == g.target[None, :]
+    should = src[:, None] == tgt[None, :]
     for a, b in np.argwhere(defined & ~should):
-        if not add("closure", f"{name(a)}∘{name(b)} defined but sources/targets do not match"):
-            break
+        yield "closure", f"{name(a)}∘{name(b)} defined but sources/targets do not match"
     for a, b in np.argwhere(~defined & should & ok_range):
-        if not add("closure", f"{name(a)}∘{name(b)} composable but undefined"):
-            break
-    for a, b in np.argwhere(defined):
-        c = ct[a, b]
-        if g.target[c] != g.target[a] or g.source[c] != g.source[b]:
-            if not add(
-                "closure",
-                f"{name(a)}∘{name(b)} = {name(c)} has wrong endpoints",
-            ):
-                break
+        yield "closure", f"{name(a)}∘{name(b)} composable but undefined"
+    a, b = np.nonzero(defined)
+    c = ct[a, b]
+    for i in np.flatnonzero((tgt[c] != tgt[a]) | (src[c] != src[b])):
+        yield "closure", f"{name(a[i])}∘{name(b[i])} = {name(c[i])} has wrong endpoints"
 
     # associativity over all composable triples, grouped by the middle factor
     for b in range(n):
         As = np.nonzero(defined[:, b])[0]
         Cs = np.nonzero(defined[b, :])[0]
-        if len(As) == 0 or len(Cs) == 0:
-            continue
-        ab = ct[As, b]   # defined by selection, so valid row indices
-        bc = ct[b, Cs]
-        lhs = ct[ab[:, None], Cs[None, :]]
-        rhs = ct[As[:, None], bc[None, :]]
-        bad = (lhs != rhs) | (lhs < 0) | (rhs < 0)
-        for i, j in np.argwhere(bad):
-            if not add(
-                "associativity",
-                f"({name(As[i])}∘{name(b)})∘{name(Cs[j])} != {name(As[i])}∘({name(b)}∘{name(Cs[j])})",
-            ):
-                break
+        lhs = ct[ct[As, b][:, None], Cs[None, :]]   # a∘b is defined, so a valid row
+        rhs = ct[As[:, None], ct[b, Cs][None, :]]
+        for i, j in np.argwhere((lhs != rhs) | (lhs < 0) | (rhs < 0)):
+            x, y, z = name(As[i]), name(b), name(Cs[j])
+            yield "associativity", f"({x}∘{y})∘{z} != {x}∘({y}∘{z})"
 
-    # units
-    if len(g.unit_table) != g.n_outcomes:
-        add("unit", "one unit per outcome required")
+    # units: one gather over each fiber
     for o in g.outcomes:
         u = int(g.unit_table[o.id])
-        if not (0 <= u < n) or g.source[u] != o.id or g.target[u] != o.id:
-            add("unit", f"unit of outcome {o.label!r} is not a loop at it")
+        if not (0 <= u < n) or src[u] != o.id or tgt[u] != o.id:
+            yield "unit", f"unit of outcome {o.label!r} is not a loop at it"
             continue
-        for a in np.nonzero(g.source == o.id)[0]:
-            if ct[a, u] != a:
-                add("unit", f"{name(a)}∘{name(u)} != {name(a)}")
-        for a in np.nonzero(g.target == o.id)[0]:
-            if ct[u, a] != a:
-                add("unit", f"{name(u)}∘{name(a)} != {name(a)}")
+        right, left = g.source_fibers[o.id], g.target_fibers[o.id]
+        for a in right[ct[right, u] != right]:
+            yield "unit", f"{name(a)}∘{name(u)} != {name(a)}"
+        for a in left[ct[u, left] != left]:
+            yield "unit", f"{name(u)}∘{name(a)} != {name(a)}"
 
     # inverses
     for a in range(n):
         b = int(g.inverse_table[a])
         if not (0 <= b < n):
-            add("inverse", f"inverse of {name(a)} is not a transition id")
+            yield "inverse", f"inverse of {name(a)} is not a transition id"
             continue
-        ut = int(g.unit_table[g.target[a]]) if g.target[a] < g.n_outcomes else UNDEFINED
-        us = int(g.unit_table[g.source[a]]) if g.source[a] < g.n_outcomes else UNDEFINED
-        if ct[a, b] != ut:
-            add("inverse", f"{name(a)}∘{name(b)} is not the unit at its target")
-        if ct[b, a] != us:
-            add("inverse", f"{name(b)}∘{name(a)} is not the unit at its source")
+        if ct[a, b] != g.unit_table[tgt[a]]:
+            yield "inverse", f"{name(a)}∘{name(b)} is not the unit at its target"
+        if ct[b, a] != g.unit_table[src[a]]:
+            yield "inverse", f"{name(b)}∘{name(a)} is not the unit at its source"
 
     # reversibility: inversion must be a bijection of G
-    inv = g.inverse_table
-    if len(inv) != n or len(set(inv.tolist())) != n:
-        add("reversibility", "inverse map is not a bijection of the transitions")
-
-    return AxiomReport(tuple(out), truncated=truncated)
+    if len(set(g.inverse_table.tolist())) != n:
+        yield "reversibility", "inverse map is not a bijection of the transitions"
 
 
 def _short_name(g: FiniteGroupoid):

@@ -45,10 +45,7 @@ def event(ids) -> Event:
 
 def fiber_event(g: FiniteGroupoid, source: str | int, target: str | int) -> Event:
     """A_{y,x}: every transition from outcome x to outcome y."""
-    x = g.outcome(source).id if isinstance(source, str) else int(source)
-    y = g.outcome(target).id if isinstance(target, str) else int(target)
-    ids = np.nonzero((g.source == x) & (g.target == y))[0]
-    return Event(frozenset(int(i) for i in ids))
+    return event(g.arrows(source, target))
 
 
 def _check_event(g: FiniteGroupoid, *events: Event) -> None:

@@ -195,6 +195,31 @@ def test_non_finite_trajectory_is_numeric_error(specdir, capsys, monkeypatch):
     assert not (out / "evolve.csv").exists()
 
 
+def test_failing_verb_leaves_no_files(specdir, capsys, monkeypatch):
+    monkeypatch.setattr(gqm.cli, "schrodinger_evolve", lambda sp, s, h, grid: np.full(
+        (grid.steps, sp.dim), np.nan, dtype=complex))
+    before = sorted(specdir.iterdir())
+    out = specdir / "new" / "out"
+    assert run_cli("gns", "--spec", specdir / "cyclic_only.json", "--out", out) == 2
+    # amplitudes.csv is written before the trajectory guard fires
+    assert run_cli("evolve", "--spec", specdir / "qubit.json", "--out", out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("E_NO_STATE: ") and err[1].startswith("E_NUMERIC: ")
+    assert sorted(specdir.iterdir()) == before
+
+    kept = specdir / "kept"
+    kept.mkdir()
+    (kept / "note.txt").write_text("kept")
+    assert run_cli("evolve", "--spec", specdir / "qubit.json", "--out", kept) == 2
+    assert [p.name for p in kept.iterdir()] == ["note.txt"]
+    capsys.readouterr()
+    # on success the printed paths are the final ones and no staging is left
+    assert run_cli("check", "--spec", specdir / "ratchet.json", "--out", kept) == 0
+    assert capsys.readouterr().out.splitlines() == [str(kept / "axioms.json")]
+    assert sorted(p.name for p in kept.iterdir()) == ["axioms.json", "note.txt"]
+    assert sorted(specdir.iterdir()) == sorted(before + [kept])
+
+
 def test_unexpected_exception_is_internal_error(specdir, capsys, monkeypatch):
     def broken_writer(built, outdir, fmt):
         raise RuntimeError("writer exploded")
@@ -265,7 +290,7 @@ def test_every_verb_and_format_writes_its_files(specdir, capsys, name, verb):
         stdout, stderr = capsys.readouterr()
         if (name, verb) in VERB_FAILS:
             assert code == 2 and stderr.startswith(VERB_FAILS[name, verb] + ": ")
-            assert not any(out.iterdir())
+            assert not out.exists()
             continue
         assert code == 0, stderr
         want = [f"{kind}.{fmt or default}" for kind, default in VERB_FILES[verb]]

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gqm
-from gqm.groupoid import FiniteGroupoid, _from_triples
+from gqm.groupoid import (
+    UNDEFINED, AxiomReport, AxiomViolation, FiniteGroupoid, _from_triples, _short_name,
+)
 
 from conftest import name_ids
 from golden_c23 import COL_ORDER, ROW_ORDER, TRIPLES, golden_compose, golden_inverse
@@ -149,6 +151,16 @@ def test_specific_corruption_reports_associativity_or_inverse(c23, ids):
     )
     report = gqm.check_axioms(g)
     assert report.kinds() & {"associativity", "inverse"}
+
+
+@pytest.mark.parametrize("table", ["inverse_table", "unit_table"])
+@pytest.mark.parametrize("validate", [False, True])
+def test_wrong_length_tables_are_rejected(c23, table, validate):
+    tables = {"inverse_table": c23.inverse_table, "unit_table": c23.unit_table}
+    tables[table] = tables[table][:-1]
+    with pytest.raises(ValueError, match="one entry per"):
+        FiniteGroupoid(c23.outcomes, c23.transitions, c23.compose_table,
+                       group=c23.group, validate=validate, **tables)
 
 
 def test_strict_table_load_rejects_bad_tables():
@@ -311,3 +323,148 @@ def test_generate_from_quiver_matches_fixed_point_closure(q):
     g = gqm.generate_from_quiver(q)
     assert g == fixed_point_closure(q)
     assert gqm.check_axioms(g).ok
+
+
+# ------------------------------- check_axioms vs the loop implementation
+
+# The loop implementation that check_axioms replaced, kept verbatim as the reference.
+def reference_check_axioms(g: FiniteGroupoid, max_violations: int = 1000) -> AxiomReport:
+    """Exhaustively verify the groupoid axioms; violations go in the report.
+
+    Checked: composability/closure (defined iff source matches target,
+    endpoint coherence of results), associativity on all composable
+    triples, unit laws, inverse laws, and reversibility (inverse is a
+    bijection). An empty report means a valid groupoid.
+    """
+    out: list[AxiomViolation] = []
+    truncated = False
+
+    def add(kind: str, detail: str) -> bool:
+        nonlocal truncated
+        if len(out) >= max_violations:
+            truncated = True
+            return False
+        out.append(AxiomViolation(kind, detail))
+        return True
+
+    n = g.n_transitions
+    ct = g.compose_table
+    name = _short_name(g)
+
+    # table sanity; everything after guards against out-of-range entries
+    ok_range = (ct >= UNDEFINED) & (ct < n)
+    for a, b in np.argwhere(~ok_range):
+        add("closure", f"entry ({name(a)}, {name(b)}) is not a transition id")
+    defined = ok_range & (ct >= 0)
+
+    # composability: defined iff s(a) == t(b); endpoints of results coherent
+    should = g.source[:, None] == g.target[None, :]
+    for a, b in np.argwhere(defined & ~should):
+        if not add("closure", f"{name(a)}∘{name(b)} defined but sources/targets do not match"):
+            break
+    for a, b in np.argwhere(~defined & should & ok_range):
+        if not add("closure", f"{name(a)}∘{name(b)} composable but undefined"):
+            break
+    for a, b in np.argwhere(defined):
+        c = ct[a, b]
+        if g.target[c] != g.target[a] or g.source[c] != g.source[b]:
+            if not add(
+                "closure",
+                f"{name(a)}∘{name(b)} = {name(c)} has wrong endpoints",
+            ):
+                break
+
+    # associativity over all composable triples, grouped by the middle factor
+    for b in range(n):
+        As = np.nonzero(defined[:, b])[0]
+        Cs = np.nonzero(defined[b, :])[0]
+        if len(As) == 0 or len(Cs) == 0:
+            continue
+        ab = ct[As, b]   # defined by selection, so valid row indices
+        bc = ct[b, Cs]
+        lhs = ct[ab[:, None], Cs[None, :]]
+        rhs = ct[As[:, None], bc[None, :]]
+        bad = (lhs != rhs) | (lhs < 0) | (rhs < 0)
+        for i, j in np.argwhere(bad):
+            if not add(
+                "associativity",
+                f"({name(As[i])}∘{name(b)})∘{name(Cs[j])} != {name(As[i])}∘({name(b)}∘{name(Cs[j])})",
+            ):
+                break
+
+    # units
+    if len(g.unit_table) != g.n_outcomes:
+        add("unit", "one unit per outcome required")
+    for o in g.outcomes:
+        u = int(g.unit_table[o.id])
+        if not (0 <= u < n) or g.source[u] != o.id or g.target[u] != o.id:
+            add("unit", f"unit of outcome {o.label!r} is not a loop at it")
+            continue
+        for a in np.nonzero(g.source == o.id)[0]:
+            if ct[a, u] != a:
+                add("unit", f"{name(a)}∘{name(u)} != {name(a)}")
+        for a in np.nonzero(g.target == o.id)[0]:
+            if ct[u, a] != a:
+                add("unit", f"{name(u)}∘{name(a)} != {name(a)}")
+
+    # inverses
+    for a in range(n):
+        b = int(g.inverse_table[a])
+        if not (0 <= b < n):
+            add("inverse", f"inverse of {name(a)} is not a transition id")
+            continue
+        ut = int(g.unit_table[g.target[a]]) if g.target[a] < g.n_outcomes else UNDEFINED
+        us = int(g.unit_table[g.source[a]]) if g.source[a] < g.n_outcomes else UNDEFINED
+        if ct[a, b] != ut:
+            add("inverse", f"{name(a)}∘{name(b)} is not the unit at its target")
+        if ct[b, a] != us:
+            add("inverse", f"{name(b)}∘{name(a)} is not the unit at its source")
+
+    # reversibility: inversion must be a bijection of G
+    inv = g.inverse_table
+    if len(inv) != n or len(set(inv.tolist())) != n:
+        add("reversibility", "inverse map is not a bijection of the transitions")
+
+    return AxiomReport(tuple(out), truncated=truncated)
+
+
+@st.composite
+def corrupted_groupoids(draw):
+    """A quiver groupoid with none, a few or all entries of each of its
+    compose, inverse and unit tables overwritten, out-of-range values included."""
+    g = gqm.generate_from_quiver(draw(quivers()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = g.n_transitions
+    tables = [g.compose_table.copy(), g.inverse_table.copy(), g.unit_table.copy()]
+    for t in tables:
+        k = draw(st.sampled_from([0, 1, 3, t.size]))
+        t.reshape(-1)[rng.integers(t.size, size=k)] = rng.integers(-3, n + 3, size=k)
+    return FiniteGroupoid(g.outcomes, g.transitions, *tables, group=g.group, validate=False)
+
+
+@settings(deadline=None)
+@given(corrupted_groupoids())
+def test_check_axioms_matches_loop_reference(g):
+    for limit in (-1, 0, 3, 1000):
+        assert gqm.check_axioms(g, limit) == reference_check_axioms(g, limit)
+
+
+@settings(deadline=None)
+@given(quivers(), st.data())
+def test_explicit_table_load_derives_relabeled_tables(q, data):
+    g = gqm.generate_from_quiver(q)
+    n = g.n_transitions
+    perm = np.array(data.draw(st.permutations(range(n))))  # new id of each old id
+    old = np.argsort(perm)                                # old id of each new id
+    labels = [o.label for o in g.outcomes]
+    trs = [(labels[g.source[a]], labels[g.target[a]], g.transitions[a].label) for a in old]
+    table = [[None if c < 0 else int(perm[c]) for c in g.compose_table[a, old]] for a in old]
+    h = gqm.from_compose_table(labels, trs, table, group=g.group)
+    assert np.array_equal(h.unit_table, perm[g.unit_table])
+    assert np.array_equal(h.inverse_table[perm], perm[g.inverse_table])
+
+    i, j = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+    table[i][j] = data.draw(
+        st.one_of(st.none(), st.integers(0, n - 1)).filter(lambda v: v != table[i][j]))
+    with pytest.raises(gqm.GroupoidAxiomError):
+        gqm.from_compose_table(labels, trs, table, group=g.group)
