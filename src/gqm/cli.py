@@ -96,7 +96,8 @@ def _write_tree(path_base: Path, obj, fmt: str) -> Path:
 # ------------------------------------------------------------- artifacts
 
 def write_axioms(built: BuiltExperiment, outdir: Path, fmt: str = "json") -> Path:
-    report = check_axioms(built.groupoid)
+    g = built.groupoid
+    report = check_axioms(g) if g.axiom_report is None else g.axiom_report
     obj = {
         "ok": report.ok,
         "truncated": report.truncated,
@@ -109,16 +110,12 @@ def write_cayley(built: BuiltExperiment, outdir: Path, fmt: str = "csv") -> Path
     """The multiplication table, '*' where composition is undefined."""
     g = built.groupoid
     names = [transition_name(g, t) for t in g.transitions]
+    undefined = None if fmt == "json" else "*"
+    # one gather: entry -1 (undefined) picks the last cell, the marker
+    table = np.array(names + [undefined], dtype=object)[g.compose_table].tolist()
     if fmt == "json":
-        table = [
-            [None if c < 0 else names[c] for c in row]
-            for row in g.compose_table
-        ]
         return _write_json(outdir / "cayley.json", {"transitions": names, "table": table})
-    rows = [
-        [names[a]] + ["*" if c < 0 else names[c] for c in g.compose_table[a]]
-        for a in range(g.n_transitions)
-    ]
+    rows = [[name] + row for name, row in zip(names, table)]
     return _write_csv(outdir / "cayley.csv", ["o"] + names, rows)
 
 

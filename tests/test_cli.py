@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib.util
 import inspect
 import json
@@ -139,6 +140,64 @@ def test_outputs_are_deterministic(specdir):
             assert run_cli(verb, "--spec", specdir / "ratchet.json", "--out", out) == 0
     for path in sorted(out1.iterdir()):
         assert path.read_bytes() == (out2 / path.name).read_bytes(), path.name
+
+
+# sha256 of the integer-only artifacts of the bundled specs. Float
+# artifacts are left out: their last digits depend on the BLAS thread count.
+ARTIFACT_SHA256 = {
+    ("ratchet.json", "cayley.csv"): "1f3f78cd05eb18e39f7ad9b2abade56373475bdfa5c6f93a72d46b27c083a88b",
+    ("ratchet.json", "cayley.json"): "4126e75d5ae729c2196d3bacbc4a7b1b4e20a8084e52485ef73764137d1880e7",
+    ("ratchet.json", "axioms.csv"): "ad86253a39384169ec12184314eea6302d2efde4c7c480a2cfe775aaece3781e",
+    ("ratchet.json", "axioms.json"): "a8c9aaca6722bed7ca7e9961df030c41055ec56913b775deb7576eac2a117fe3",
+    ("qubit.json", "cayley.csv"): "1f3f78cd05eb18e39f7ad9b2abade56373475bdfa5c6f93a72d46b27c083a88b",
+    ("qubit.json", "cayley.json"): "4126e75d5ae729c2196d3bacbc4a7b1b4e20a8084e52485ef73764137d1880e7",
+    ("qubit.json", "axioms.csv"): "ad86253a39384169ec12184314eea6302d2efde4c7c480a2cfe775aaece3781e",
+    ("qubit.json", "axioms.json"): "a8c9aaca6722bed7ca7e9961df030c41055ec56913b775deb7576eac2a117fe3",
+    ("pair2.json", "cayley.csv"): "8e190fa44919860e88f6709bea2cfa576ba2e0d1134cf380fbf6b6766873f2e0",
+    ("pair2.json", "cayley.json"): "058ca44b4f281fe9b971ac3dbeda71ffb8787d19f35cc0eee128d2bd80099af6",
+    ("pair2.json", "axioms.csv"): "ad86253a39384169ec12184314eea6302d2efde4c7c480a2cfe775aaece3781e",
+    ("pair2.json", "axioms.json"): "a8c9aaca6722bed7ca7e9961df030c41055ec56913b775deb7576eac2a117fe3",
+    ("cyclic_only.json", "cayley.csv"): "3bb0db8a39799a752d371a5029effc8bee5be16e1060b18ca47f800d81f2ab02",
+    ("cyclic_only.json", "cayley.json"): "f25bcd5514e8c75a0947dce108663c8e17a2861d1fd70c25eac51f0e02795e35",
+    ("cyclic_only.json", "axioms.csv"): "ad86253a39384169ec12184314eea6302d2efde4c7c480a2cfe775aaece3781e",
+    ("cyclic_only.json", "axioms.json"): "a8c9aaca6722bed7ca7e9961df030c41055ec56913b775deb7576eac2a117fe3",
+}
+
+
+@pytest.mark.parametrize("name, fname", sorted(ARTIFACT_SHA256))
+def test_integer_artifacts_are_byte_identical(specdir, name, fname):
+    kind, fmt = fname.split(".")
+    verb = {"cayley": "cayley", "axioms": "check"}[kind]
+    out = specdir / "out"
+    assert run_cli(verb, "--spec", specdir / name, "--out", out, "--format", fmt) == 0
+    assert hashlib.sha256((out / fname).read_bytes()).hexdigest() == ARTIFACT_SHA256[name, fname]
+
+
+TABLE_SPEC = {"groupoid_source": {
+    "outcomes": ["x"],
+    "transitions": [{"name": "u", "source": "x", "target": "x", "label": 0},
+                    {"name": "a", "source": "x", "target": "x", "label": 1}],
+    "compose_table": [[0, 1], [1, 0]],
+}}
+
+
+@pytest.mark.parametrize("name", ["table.json", "ratchet.json"])
+def test_check_judges_the_axioms_once(specdir, capsys, monkeypatch, name):
+    """An explicit table is checked at load; `check` reuses that report.
+    A groupoid built without validation is checked by `check` itself."""
+    (specdir / "table.json").write_text(json.dumps(TABLE_SPEC))
+    calls = []
+    check_axioms = gqm.groupoid.check_axioms
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check_axioms(*args, **kwargs)
+
+    monkeypatch.setattr(gqm.groupoid, "check_axioms", counted)
+    monkeypatch.setattr(gqm.cli, "check_axioms", counted)
+    assert run_cli("check", "--spec", specdir / name, "--out", specdir / "out") == 0
+    assert len(calls) == 1
+    assert json.loads((specdir / "out" / "axioms.json").read_text())["ok"] is True
 
 
 def test_missing_state_is_diagnosed(specdir, capsys):
