@@ -277,7 +277,6 @@ def _from_triples(
     outcomes: tuple[Outcome, ...],
     group: FiniteGroup,
     triples,
-    validate: bool = False,
 ) -> FiniteGroupoid:
     """Build a groupoid from a closed set of (target, label, source) triples.
 
@@ -324,7 +323,7 @@ def _from_triples(
 
     return FiniteGroupoid(
         outcomes, transitions, compose_table, inverse_table, unit_table,
-        group=group, validate=validate,
+        group=group, validate=False,
     )
 
 

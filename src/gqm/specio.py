@@ -156,14 +156,7 @@ def eval_expr(expr: str | int | float, params: dict[str, float], path: str = "")
     elif not isinstance(expr, str):
         raise SpecError("E_PARAM", "expression must be a finite number or a string", path)
     else:
-        try:
-            tree = ast.parse(expr, mode="eval")
-        except SyntaxError as exc:
-            raise SpecError("E_PARAM", f"bad expression {expr!r}: {exc.msg}", path) from None
-
         def ev(node) -> float:
-            if isinstance(node, ast.Expression):
-                return ev(node.body)
             if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
                 try:
                     return _BINOPS[type(node.op)](ev(node.left), ev(node.right))
@@ -182,7 +175,12 @@ def eval_expr(expr: str | int | float, params: dict[str, float], path: str = "")
                 raise SpecError("E_PARAM", f"unknown name {node.id!r} in {expr!r}", path)
             raise SpecError("E_PARAM", f"unsupported syntax in {expr!r}", path)
 
-        value = ev(tree)
+        try:
+            value = ev(ast.parse(expr, mode="eval").body)
+        except SyntaxError as exc:
+            raise SpecError("E_PARAM", f"bad expression {expr!r}: {exc.msg}", path) from None
+        except (RecursionError, MemoryError):
+            raise SpecError("E_PARAM", "expression is nested too deeply", path) from None
     if not math.isfinite(value):
         raise SpecError("E_PARAM", f"expression {expr!r} is not finite", path)
     return value
@@ -203,6 +201,9 @@ def parse_spec(text: bytes | str) -> ExperimentSpec:
         raise SpecError(
             "E_SYNTAX", f"JSON syntax error: {exc.msg} (line {exc.lineno} column {exc.colno})"
         ) from None
+    except (ValueError, RecursionError) as exc:
+        # integer literals beyond the int-conversion limit, too-deep nesting
+        raise SpecError("E_SYNTAX", f"JSON rejected: {exc}") from None
     return spec_from_json(doc)
 
 
@@ -280,11 +281,15 @@ def _parse_groupoid_source(doc, path) -> GroupoidSource:
         if not isinstance(group, dict) or "table" not in group:
             raise SpecError("E_SCHEMA", "quiver form requires 'group' with a 'table'", f"{path}.group")
         table = group["table"]
+        if not isinstance(table, list) or not all(
+                isinstance(row, list) and all(_is_int(v) for v in row) for row in table):
+            raise SpecError("E_GROUP_TABLE", "group table must be a list of rows of integers",
+                            f"{path}.group.table")
         try:
             grp = group_from_table(table)
         except GroupTableError as exc:
             raise SpecError("E_GROUP_TABLE", str(exc), f"{path}.group.table") from None
-        except (TypeError, ValueError) as exc:
+        except (ValueError, OverflowError) as exc:
             raise SpecError("E_GROUP_TABLE", f"bad group table: {exc}", f"{path}.group.table") from None
         if "order" in group and group["order"] != grp.order:
             raise SpecError("E_GROUP_TABLE", "'order' does not match the table", f"{path}.group.order")
@@ -563,11 +568,8 @@ def build_state(
     }
     try:
         phi = factorizable_extend(g, quiver, gen_values)
-    except ValueError as exc:
-        raise SpecError("E_STATE", str(exc), "state_source") from None
-    if isinstance(phi, ContradictionReport):
-        raise SpecError("E_CONTRADICTION", f"phases are not consistent: {phi}", "state_source")
-    try:
+        if isinstance(phi, ContradictionReport):
+            raise SpecError("E_CONTRADICTION", f"phases are not consistent: {phi}", "state_source")
         return state_from_phi(g, phi)
     except ValueError as exc:
         raise SpecError("E_STATE", str(exc), "state_source") from None

@@ -133,24 +133,22 @@ def check_unitarity(
     """True iff |phi(a)| = 1 and phi(a^-1) = conj(phi(a)) for all a."""
     vals = phi.values
     zeros = tuple(int(i) for i in np.nonzero(np.abs(vals) == 0.0)[0])
-    modulus = float(np.max(np.abs(np.abs(vals) - 1.0))) if len(vals) else 0.0
-    conj_defect = (
-        float(np.max(np.abs(vals[g.inverse_table] - np.conj(vals))))
-        if len(vals)
-        else 0.0
-    )
+    modulus = float(np.max(np.abs(np.abs(vals) - 1.0), initial=0.0))
+    conj_defect = float(np.max(np.abs(vals[g.inverse_table] - np.conj(vals)), initial=0.0))
     ok = not zeros and modulus <= tol and conj_defect <= tol
     return UnitarityReport(ok, zeros, modulus, conj_defect)
+
+
+def _factorization_defect(g: FiniteGroupoid, vals: np.ndarray) -> np.ndarray:
+    """|phi(a∘b) - phi(a) phi(b)| on each composable pair, in pair order."""
+    return np.abs(vals[g.pair_result] - vals[g.pair_left] * vals[g.pair_right])
 
 
 def is_factorizable_function(
     g: FiniteGroupoid, phi: GroupoidFunction, tol: float = 1e-9
 ) -> bool:
     """Exhaustive check of phi(a∘b) = phi(a) phi(b) on composable pairs."""
-    vals = phi.values
-    lhs = vals[g.pair_result]
-    rhs = vals[g.pair_left] * vals[g.pair_right]
-    return bool(len(lhs) == 0 or np.max(np.abs(lhs - rhs)) <= tol)
+    return bool(np.all(_factorization_defect(g, phi.values) <= tol))
 
 
 def factorizable_extend(
@@ -161,11 +159,18 @@ def factorizable_extend(
 ) -> GroupoidFunction | ContradictionReport:
     """Extend unit-modulus generator values to a factorizable phi on G.
 
-    Units get 1, inverses get conjugates, and words multiply. Whenever
-    two words hit the same transition with values differing by more
-    than tol, the extension fails with a ContradictionReport naming
-    both words. On success the factorization identity is re-verified
-    exhaustively over every composable pair.
+    Search: units get 1 and generators their values; then, breadth
+    first, each arrow is composed on the left by the letters g0, g0^-1,
+    g1, ... (the given values and their conjugates). The first value to
+    reach an arrow wins; its inverse gets the conjugate if it has none.
+
+    Judge: (1) each letter's searched value is its given value and (2)
+    phi(a∘b) = phi(a) phi(b) on every composable pair, within tol. If
+    both hold, phi is the homomorphism extending the letters, so no two
+    words for one transition disagree. If one fails, its transition has
+    two words with different values (its search word, and the letter or
+    the words of a and b), rebuilt from the search pointers into the
+    ContradictionReport. So checks inside the search decide nothing more.
     """
     missing = [n for n in q.names if n not in gen_values]
     if missing:
@@ -176,74 +181,66 @@ def factorizable_extend(
         if abs(abs(complex(gen_values[name])) - 1.0) > tol:
             raise ValueError(f"generator value for {name!r} is not unit-modulus")
 
-    n = g.n_transitions
-    values: dict[int, complex] = {}
-    words: dict[int, str] = {}
+    inverse = g.inverse_table.tolist()
+    letters, given, letter_words = [], [], []
+    for name, t in zip(q.names, q.generators):
+        a = g.transition(t.target, t.label, t.source).id
+        v = complex(gen_values[name])
+        letters += [a, inverse[a]]
+        given += [v, v.conjugate()]
+        letter_words += [name, f"{name}^-1"]
+    # how[a]: a root's word, (k, b) for letter k ∘ b, or (None, b) for b^-1
+    phi: list[complex | None] = [None] * g.n_transitions
+    how: list = [None] * g.n_transitions
     queue: deque[int] = deque()
-    conflict: list[ContradictionReport] = []
 
-    def assign(tid: int, val: complex, word: str) -> bool:
-        if tid in values:
-            if abs(values[tid] - val) > tol:
-                conflict.append(
-                    ContradictionReport(
-                        g.transitions[tid], values[tid], words[tid], val, word
-                    )
-                )
-                return False
-            return True
-        values[tid] = val
-        words[tid] = word
-        queue.append(tid)
-        inv = int(g.inverse_table[tid])
-        if inv != tid:
-            return assign(inv, np.conj(val), f"({word})^-1")
-        return True
+    def reach(a: int, v: complex, via) -> None:
+        phi[a], how[a] = v, via
+        queue.append(a)
+        if phi[inverse[a]] is None:
+            phi[inverse[a]], how[inverse[a]] = v.conjugate(), (None, a)
+            queue.append(inverse[a])
 
     for o in g.outcomes:
-        if not assign(int(g.unit_table[o.id]), 1.0 + 0j, f"1_{o.label}"):
-            return conflict[0]
-    seeds: list[tuple[int, complex, str]] = []
-    for name, t in zip(q.names, q.generators):
-        tid = g.transition(t.target, t.label, t.source).id
-        val = complex(gen_values[name])
-        if not assign(tid, val, name):
-            return conflict[0]
-        seeds.append((tid, val, name))
-        inv = int(g.inverse_table[tid])
-        seeds.append((inv, np.conj(val), f"{name}^-1"))
-
+        reach(int(g.unit_table[o.id]), 1.0 + 0j, f"1_{o.label}")
+    for k in range(0, len(letters), 2):
+        if phi[letters[k]] is None:
+            reach(letters[k], given[k], letter_words[k])
+    rows = list(enumerate(g.compose_table[letters].tolist()))
     while queue:
-        tid = queue.popleft()
-        for sid, sval, sword in seeds:
-            cid = int(g.compose_table[sid, tid])
-            if cid >= 0 and not assign(
-                cid, sval * values[tid], f"{sword}∘{words[tid]}"
-            ):
-                return conflict[0]
-
-    unassigned = [t for t in range(n) if t not in values]
-    if unassigned:
+        b = queue.popleft()
+        for k, row in rows:
+            if (a := row[b]) >= 0 and phi[a] is None:
+                reach(a, given[k] * phi[b], (k, b))
+    if None in phi:
         raise ValueError(
             f"quiver does not generate the groupoid: transition "
-            f"{unassigned[0]} is unreachable"
+            f"{phi.index(None)} is unreachable"
         )
 
-    vals = np.array([values[t] for t in range(n)], dtype=complex)
-    lhs = vals[g.pair_result]
-    rhs = vals[g.pair_left] * vals[g.pair_right]
-    bad = np.abs(lhs - rhs) > tol
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        cid = int(g.pair_result[k])
-        return ContradictionReport(
-            g.transitions[cid],
-            values[cid],
-            words[cid],
-            complex(rhs[k]),
-            f"{words[int(g.pair_left[k])]}∘{words[int(g.pair_right[k])]}",
-        )
-    return GroupoidFunction(vals)
+    def word(a: int) -> str:
+        head, tail = "", ""
+        while not isinstance(how[a], str):
+            k, a = how[a]
+            if k is None:
+                head, tail = head + "(", ")^-1" + tail
+            else:
+                head += f"{letter_words[k]}∘"
+        return head + how[a] + tail
+
+    vals = np.array(phi, dtype=complex)
+    off = np.abs(vals[letters] - np.array(given)) > tol
+    bad = _factorization_defect(g, vals) > tol
+    if np.any(off):
+        k = int(np.argmax(off))
+        a, value, other = letters[k], given[k], letter_words[k]
+    elif np.any(bad):
+        i = int(np.argmax(bad))
+        a, b, c = (int(x[i]) for x in (g.pair_result, g.pair_left, g.pair_right))
+        value, other = phi[b] * phi[c], f"{word(b)}∘{word(c)}"
+    else:
+        return GroupoidFunction(vals)
+    return ContradictionReport(g.transitions[a], phi[a], word(a), value, other)
 
 
 def state_from_phi(

@@ -1,9 +1,10 @@
+import itertools
 import os
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -16,6 +17,34 @@ SEED = int(os.environ.get("GQM_SEED", "20250809"))
 
 S_PHASE = 0.7
 DELTA = 2 * np.pi / 3
+
+S3_PERMS = list(itertools.permutations(range(3)))
+S3 = gqm.group_from_table(
+    [[S3_PERMS.index(tuple(p[i] for i in q)) for q in S3_PERMS] for p in S3_PERMS]
+)
+S3_SIGN = np.array([round(np.linalg.det(np.eye(3)[list(p)])) for p in S3_PERMS])
+
+
+@st.composite
+def character_quivers(draw):
+    """A random quiver over Z_k or S_3, its closure, and a one-dimensional
+    character chi of the group (an array indexed by group element)."""
+    n_out = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        group = S3
+        chi = S3_SIGN if draw(st.booleans()) else np.ones(6)
+    else:
+        k = draw(st.integers(1, 4))
+        group = gqm.cyclic_group(k)
+        chi = np.exp(2j * np.pi * draw(st.integers(0, k - 1)) * np.arange(k) / k)
+    labels = [f"o{i}" for i in range(n_out)]
+    arrows = draw(st.lists(
+        st.tuples(st.sampled_from(labels), st.sampled_from(labels),
+                  st.integers(0, group.order - 1)),
+        min_size=1, max_size=5, unique=True,
+    ))
+    q = gqm.make_quiver(labels, group, arrows)
+    return q, gqm.generate_from_quiver(q), chi
 
 
 @pytest.fixture

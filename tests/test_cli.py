@@ -6,10 +6,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gqm
 from gqm.cli import main
@@ -362,6 +364,77 @@ def test_every_verb_and_format_writes_its_files(specdir, capsys, name, verb):
             else:
                 header, rows = read_csv(path)
                 assert rows and all(len(row) == len(header) for row in rows)
+
+
+BUNDLED = ("ratchet.json", "qubit.json", "pair2.json", "cyclic_only.json")
+
+
+def edited_ratchet(keys, value):
+    """The bundled ratchet spec with the field at ``keys`` set to ``value``."""
+    doc = json.loads(read_bundled("ratchet.json"))
+    *head, last = keys
+    node = doc
+    for key in head:
+        node = node[key]
+    node[last] = value
+    return json.dumps(doc)
+
+
+TABLE = ("groupoid_source", "group", "table")
+PHASE = ("state_source", "alpha_1", "phase")
+
+
+@pytest.mark.parametrize("text, code", [
+    (edited_ratchet(TABLE + (0, 1), 1.9), "E_GROUP_TABLE"),
+    (edited_ratchet(TABLE + (0, 1), True), "E_GROUP_TABLE"),
+    (edited_ratchet(TABLE + (0, 1), "1"), "E_GROUP_TABLE"),
+    (edited_ratchet(TABLE, 1e308), "E_GROUP_TABLE"),
+    (edited_ratchet(TABLE + (0, 1), 10**30), "E_GROUP_TABLE"),
+    ('{"groupoid_source": {"pair": [' + "1" * 4301 + "]}}", "E_SYNTAX"),
+    ('{"name": ' + "[" * 100000 + "]" * 100000 + "}", "E_SYNTAX"),
+    (edited_ratchet(PHASE, "-" * 990 + "1"), "E_PARAM"),
+    (edited_ratchet(PHASE, "-" * 3000 + "1"), "E_PARAM"),
+    (edited_ratchet(PHASE, "-" * 100000 + "1"), "E_PARAM"),
+], ids=["float-entry", "bool-entry", "string-entry", "float-table", "huge-entry",
+        "long-int", "deep-arrays", "phase-990", "phase-3000", "phase-100000"])
+def test_hostile_specs_fail_with_a_code(tmp_path, capsys, text, code):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    assert run_cli("check", "--spec", spec, "--out", tmp_path / "out") == 2
+    first = capsys.readouterr().err.splitlines()[0]
+    assert first.startswith(code + ": ")
+    if code == "E_PARAM":
+        assert first.endswith("(at state_source.alpha_1.phase)")
+
+
+def json_paths(doc, path=()):
+    """The path of every value below the root of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, val in items:
+        yield path + (key,)
+        yield from json_paths(val, path + (key,))
+
+
+@settings(deadline=None)
+@given(st.sampled_from(BUNDLED), st.data())
+def test_edited_bundled_specs_never_crash(name, data):
+    doc = json.loads(read_bundled(name))
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = list(json_paths(doc))
+        if not paths:
+            break
+        *head, last = data.draw(st.sampled_from(paths))
+        node = doc
+        for key in head:
+            node = node[key]
+        if data.draw(st.booleans()):
+            del node[last]
+        else:
+            node[last] = data.draw(st.integers(-2, 8))
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = Path(tmp) / "spec.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["check", "--spec", str(spec), "--out", str(Path(tmp) / "out")]) in (0, 2)
 
 
 def test_perfbench_bindings_resolve():

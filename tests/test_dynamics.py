@@ -1,12 +1,10 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gqm
 
-from conftest import DELTA, S_PHASE, element_from_names
+from conftest import DELTA, S_PHASE, character_quivers, element_from_names
 from golden_c23 import (
     closed_form_qubit_u,
     closed_form_ratchet_u,
@@ -267,32 +265,14 @@ def test_time_grid_validation():
 # ------------------------------------------- fiber paths vs dense reference
 
 TOL = 1e-12
-S3_PERMS = list(itertools.permutations(range(3)))
-S3 = gqm.group_from_table(
-    [[S3_PERMS.index(tuple(p[i] for i in q)) for q in S3_PERMS] for p in S3_PERMS]
-)
-S3_SIGN = np.array([round(np.linalg.det(np.eye(3)[list(p)])) for p in S3_PERMS])
 
 
 @st.composite
 def factorizable_systems(draw):
     """A random quiver over Z_k or S_3, its closure, a factorizable
     unit-modulus state and a random self-adjoint Hamiltonian."""
-    n_out = draw(st.integers(1, 3))
-    if draw(st.booleans()):
-        group = S3
-        chi = S3_SIGN if draw(st.booleans()) else np.ones(6)
-    else:
-        k = draw(st.integers(1, 4))
-        group = gqm.cyclic_group(k)
-        chi = np.exp(2j * np.pi * draw(st.integers(0, k - 1)) * np.arange(k) / k)
-    labels = [f"o{i}" for i in range(n_out)]
-    arrows = draw(st.lists(
-        st.tuples(st.sampled_from(labels), st.sampled_from(labels),
-                  st.integers(0, group.order - 1)),
-        min_size=1, max_size=5, unique=True,
-    ))
-    g = gqm.generate_from_quiver(gqm.make_quiver(labels, group, arrows))
+    q, g, chi = draw(character_quivers())
+    n_out = len(q.outcomes)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # phi(y, c, x) = theta_y chi(c) conj(theta_x) is a unit-modulus groupoid character
     theta = np.exp(2j * np.pi * rng.random(n_out))

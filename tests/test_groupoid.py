@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +8,7 @@ from gqm.groupoid import (
     _short_name,
 )
 
-from conftest import name_ids
+from conftest import S3, name_ids
 from golden_c23 import COL_ORDER, ROW_ORDER, TRIPLES, golden_compose, golden_inverse
 
 
@@ -279,12 +277,6 @@ def test_one_object_groupoid_is_the_group():
 
 
 # ------------------------------------- quiver closure vs the fixed point
-
-S3_PERMS = list(itertools.permutations(range(3)))
-S3 = gqm.group_from_table(
-    [[S3_PERMS.index(tuple(p[i] for i in q)) for q in S3_PERMS] for p in S3_PERMS]
-)
-
 
 def fixed_point_closure(q):
     """Reference: add every composite of two known arrows until none is new."""

@@ -1,10 +1,110 @@
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gqm
+from gqm.groupoid import FiniteGroupoid, Quiver
+from gqm.states import ContradictionReport, GroupoidFunction
 
-from conftest import DELTA, S_PHASE
+from conftest import DELTA, S_PHASE, character_quivers
 from golden_c23 import golden_phi
+
+
+# Reference: the extension as it was before the single search-and-judge
+# form, with a recursive assign that checks for conflicts on every step.
+def reference_factorizable_extend(
+    g: FiniteGroupoid,
+    q: Quiver,
+    gen_values: dict[str, complex],
+    tol: float = 1e-9,
+) -> GroupoidFunction | ContradictionReport:
+    """Extend unit-modulus generator values to a factorizable phi on G.
+
+    Units get 1, inverses get conjugates, and words multiply. Whenever
+    two words hit the same transition with values differing by more
+    than tol, the extension fails with a ContradictionReport naming
+    both words. On success the factorization identity is re-verified
+    exhaustively over every composable pair.
+    """
+    missing = [n for n in q.names if n not in gen_values]
+    if missing:
+        raise ValueError(f"missing generator values: {missing}")
+    for name in gen_values:
+        if name not in q.names:
+            raise ValueError(f"unknown generator {name!r}")
+        if abs(abs(complex(gen_values[name])) - 1.0) > tol:
+            raise ValueError(f"generator value for {name!r} is not unit-modulus")
+
+    n = g.n_transitions
+    values: dict[int, complex] = {}
+    words: dict[int, str] = {}
+    queue: deque[int] = deque()
+    conflict: list[ContradictionReport] = []
+
+    def assign(tid: int, val: complex, word: str) -> bool:
+        if tid in values:
+            if abs(values[tid] - val) > tol:
+                conflict.append(
+                    ContradictionReport(
+                        g.transitions[tid], values[tid], words[tid], val, word
+                    )
+                )
+                return False
+            return True
+        values[tid] = val
+        words[tid] = word
+        queue.append(tid)
+        inv = int(g.inverse_table[tid])
+        if inv != tid:
+            return assign(inv, np.conj(val), f"({word})^-1")
+        return True
+
+    for o in g.outcomes:
+        if not assign(int(g.unit_table[o.id]), 1.0 + 0j, f"1_{o.label}"):
+            return conflict[0]
+    seeds: list[tuple[int, complex, str]] = []
+    for name, t in zip(q.names, q.generators):
+        tid = g.transition(t.target, t.label, t.source).id
+        val = complex(gen_values[name])
+        if not assign(tid, val, name):
+            return conflict[0]
+        seeds.append((tid, val, name))
+        inv = int(g.inverse_table[tid])
+        seeds.append((inv, np.conj(val), f"{name}^-1"))
+
+    while queue:
+        tid = queue.popleft()
+        for sid, sval, sword in seeds:
+            cid = int(g.compose_table[sid, tid])
+            if cid >= 0 and not assign(
+                cid, sval * values[tid], f"{sword}∘{words[tid]}"
+            ):
+                return conflict[0]
+
+    unassigned = [t for t in range(n) if t not in values]
+    if unassigned:
+        raise ValueError(
+            f"quiver does not generate the groupoid: transition "
+            f"{unassigned[0]} is unreachable"
+        )
+
+    vals = np.array([values[t] for t in range(n)], dtype=complex)
+    lhs = vals[g.pair_result]
+    rhs = vals[g.pair_left] * vals[g.pair_right]
+    bad = np.abs(lhs - rhs) > tol
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        cid = int(g.pair_result[k])
+        return ContradictionReport(
+            g.transitions[cid],
+            values[cid],
+            words[cid],
+            complex(rhs[k]),
+            f"{words[int(g.pair_left[k])]}∘{words[int(g.pair_right[k])]}",
+        )
+    return GroupoidFunction(vals)
 
 
 def test_expectation_of_unit_is_one(ratchet_state, c23):
@@ -184,3 +284,63 @@ def test_self_adjoint_expectations_are_real(ratchet_state, c23, rng):
 def test_state_hermiticity(ratchet_state, c23):
     vals = ratchet_state.phi.values
     assert np.max(np.abs(vals[c23.inverse_table] - np.conj(vals))) < 1e-12
+
+
+# -------------------------------------- factorizable_extend vs reference
+
+@st.composite
+def quiver_characters(draw):
+    """A random quiver over Z_k or S_3 with generator values
+    theta_y chi(c) conj(theta_x), which extend to a groupoid character."""
+    q, g, chi = draw(character_quivers())
+    theta = draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=len(q.outcomes),
+                          max_size=len(q.outcomes)))
+    values = {
+        name: np.exp(1j * theta[t.target]) * chi[t.label] * np.exp(-1j * theta[t.source])
+        for name, t in zip(q.names, q.generators)
+    }
+    return g, q, values
+
+
+@settings(deadline=None)
+@given(quiver_characters())
+def test_extension_of_characters_equals_reference(case):
+    g, q, values = case
+    got = gqm.factorizable_extend(g, q, values)
+    want = reference_factorizable_extend(g, q, values)
+    assert isinstance(want, GroupoidFunction)
+    assert isinstance(got, GroupoidFunction) and np.array_equal(got.values, want.values)
+
+
+SHIFTS = st.just(0.0) | st.floats(1e-6, 3.0) | st.floats(-3.0, -1e-6)
+
+
+@settings(deadline=None)
+@given(quiver_characters(), st.data())
+def test_perturbed_extension_decides_as_reference(case, data):
+    g, q, values = case
+    shifts = data.draw(st.lists(SHIFTS, min_size=len(values), max_size=len(values)))
+    values = {name: v * np.exp(1j * d) for (name, v), d in zip(values.items(), shifts)}
+    got = gqm.factorizable_extend(g, q, values)
+    want = reference_factorizable_extend(g, q, values)
+    assert type(got) is type(want)
+    if isinstance(got, GroupoidFunction):
+        assert np.array_equal(got.values, want.values)
+    else:
+        assert got.word_a != got.word_b
+        assert abs(got.value_a - got.value_b) > 1e-9
+
+
+@pytest.mark.parametrize("arrows, values", [
+    # a unit given as a generator, with a value other than 1
+    ([("x", "x", 0), ("x", "y", 1)], {"g0": np.exp(0.3j), "g1": 1.0}),
+    # g1 is the inverse of g0, but its value is not the conjugate of g0's
+    ([("x", "y", 1), ("y", "x", 1)], {"g0": np.exp(0.3j), "g1": np.exp(0.3j)}),
+])
+def test_letter_contradiction_matches_reference(arrows, values):
+    q = gqm.make_quiver(["x", "y"], gqm.cyclic_group(2), arrows)
+    g = gqm.generate_from_quiver(q)
+    got = gqm.factorizable_extend(g, q, values)
+    assert isinstance(got, ContradictionReport)
+    assert got == reference_factorizable_extend(g, q, values)
+
