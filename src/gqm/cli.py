@@ -1,10 +1,13 @@
 """Command-line interface: evaluate experiment specs into files on disk.
 
 Verbs: check, cayley, state, evolve, measure, gns. Each takes
---spec <file>, --out <dir> and --format json|csv. Outputs are
-deterministic for a given spec and package version: numbers are
-written with 17 significant digits, JSON keys are sorted, and
-eigendecomposition degeneracies are resolved by fixed ordering.
+--spec <file>, --out <dir> and --format json|csv. check builds and
+validates every part the spec declares; every other verb builds only
+the parts it writes, so cayley succeeds on a spec whose phases
+contradict. Outputs are deterministic for a given spec and package
+version: numbers are written with 17 significant digits, JSON keys are
+sorted, and eigendecomposition degeneracies are resolved by fixed
+ordering.
 Exit code 0 on success; on failure a machine-readable diagnostic
 code is printed first on stderr and the exit code is nonzero: 2 for a
 spec that cannot be evaluated (E_NUMERIC when it yields non-finite
@@ -120,7 +123,7 @@ def write_cayley(built: BuiltExperiment, outdir: Path, fmt: str = "csv") -> Path
 
 
 def write_state(built: BuiltExperiment, outdir: Path, fmt: str = "json") -> Path:
-    (s,) = _need(built, "state")
+    s = built.state
     obj = {
         "phi": _pairs(s.phi.values),
         "weight": s.weight,
@@ -133,7 +136,7 @@ def write_state(built: BuiltExperiment, outdir: Path, fmt: str = "json") -> Path
 
 def write_amplitudes(built: BuiltExperiment, outdir: Path, fmt: str = "csv") -> Path:
     """rho(1_y u_t 1_x) for every ordered outcome pair over the grid."""
-    s, h, grid = _need(built, "state", "hamiltonian", "grid")
+    s, h, grid = built.state, built.hamiltonian, built.grid
     g = built.groupoid
     columns = {
         f"{y.label}<-{x.label}": amplitude_grid(s, x, y, h, grid)
@@ -150,7 +153,7 @@ def write_amplitudes(built: BuiltExperiment, outdir: Path, fmt: str = "csv") -> 
 
 
 def write_measure(built: BuiltExperiment, outdir: Path, fmt: str = "json") -> Path:
-    (s,) = _need(built, "state")
+    s = built.state
     g = built.groupoid
     amp = amplitude_matrix(s) if s.is_factorizable else None
     fibers = {}
@@ -170,7 +173,7 @@ def write_measure(built: BuiltExperiment, outdir: Path, fmt: str = "json") -> Pa
 
 
 def write_gns(built: BuiltExperiment, outdir: Path, fmt: str = "json") -> Path:
-    (s,) = _need(built, "state")
+    s = built.state
     g = built.groupoid
     sp = gns_build(g, s)
     obj = {
@@ -183,7 +186,7 @@ def write_gns(built: BuiltExperiment, outdir: Path, fmt: str = "json") -> Path:
             for o in g.outcomes
         },
     }
-    if built.hamiltonian is not None:
+    if built.spec.hamiltonian is not None:
         obj["hamiltonian_matrix"] = [
             _pairs(row) for row in represent(sp, g, built.hamiltonian.element)
         ]
@@ -192,7 +195,7 @@ def write_gns(built: BuiltExperiment, outdir: Path, fmt: str = "json") -> Path:
 
 def write_evolution(built: BuiltExperiment, outdir: Path, fmt: str = "csv") -> Path:
     """GNS trajectory psi_t = pi(u_t)|0> over the grid."""
-    s, h, grid = _need(built, "state", "hamiltonian", "grid")
+    s, h, grid = built.state, built.hamiltonian, built.grid
     sp = gns_build(built.groupoid, s)
     psi = schrodinger_evolve(sp, s, h, grid)
     norms = np.sqrt(np.sum(np.abs(psi) ** 2, axis=1))
@@ -206,21 +209,6 @@ def write_evolution(built: BuiltExperiment, outdir: Path, fmt: str = "csv") -> P
         return _write_json(outdir / "evolve.json", obj)
     columns = {f"psi[{i}]": psi[:, i] for i in range(sp.dim)}
     return _write_series(outdir / "evolve.csv", grid.times, columns, {"norm": norms})
-
-
-_MISSING = {
-    "state": "a state_source in the spec",
-    "hamiltonian": "a hamiltonian in the spec",
-    "grid": "a time grid",
-}
-
-
-def _need(built: BuiltExperiment, *fields: str) -> list:
-    """The named fields of ``built``; E_NO_<FIELD> for the first one missing."""
-    for field in fields:
-        if getattr(built, field) is None:
-            raise SpecError(f"E_NO_{field.upper()}", f"this output requires {_MISSING[field]}")
-    return [getattr(built, field) for field in fields]
 
 
 # output kind -> (writer, default format)
@@ -315,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        built = build_experiment(load_spec_file(args.spec))
+        spec = load_spec_file(args.spec)
         # --t-start/--t-stop/--t-steps exist on evolve only
         overrides = {
             key: v for key in ("start", "stop", "steps")
@@ -323,10 +311,11 @@ def main(argv=None) -> int:
         }
         if overrides:
             try:
-                grid = dataclasses.replace(built.grid or TimeGrid(0.0, 1.0, 2), **overrides)
+                grid = dataclasses.replace(spec.grid or TimeGrid(0.0, 1.0, 2), **overrides)
             except ValueError as exc:
                 raise SpecError("E_GRID", str(exc), "grid") from None
-            built = dataclasses.replace(built, grid=grid)
+            spec = dataclasses.replace(spec, grid=grid)
+        built = build_experiment(spec, validate=args.command == "check")
         written = _write_outputs(built, _VERBS[args.command][1], args.out, args.format)
     except SpecError as err:
         print(f"{err.code}: {err}", file=sys.stderr)

@@ -81,6 +81,8 @@ class TimeGrid:
     steps: int  # number of grid points
 
     def __post_init__(self):
+        if not np.isfinite((self.start, self.stop)).all():
+            raise ValueError("start and stop must be finite")
         if self.stop < self.start:
             raise ValueError("stop must be >= start")
         if self.steps < 1:

@@ -15,6 +15,7 @@ parse time and substituted numerically when the state is built.
 from __future__ import annotations
 
 import ast
+import functools
 import json
 import math
 import sys
@@ -291,8 +292,8 @@ def _parse_groupoid_source(doc, path) -> GroupoidSource:
             raise SpecError("E_GROUP_TABLE", str(exc), f"{path}.group.table") from None
         except (ValueError, OverflowError) as exc:
             raise SpecError("E_GROUP_TABLE", f"bad group table: {exc}", f"{path}.group.table") from None
-        if "order" in group and group["order"] != grp.order:
-            raise SpecError("E_GROUP_TABLE", "'order' does not match the table", f"{path}.group.order")
+        if "order" in group and not (_is_int(group["order"]) and group["order"] == grp.order):
+            raise SpecError("E_GROUP_TABLE", "'order' must be the table's integer order", f"{path}.group.order")
         gens = doc["generators"]
         if not isinstance(gens, list):
             raise SpecError("E_SCHEMA", "'generators' must be a list", f"{path}.generators")
@@ -500,12 +501,67 @@ def _state_source_to_json(src: StateSource) -> dict:
 
 @dataclass(frozen=True, eq=False)
 class BuiltExperiment:
+    """A spec's groupoid, built at once, and each other part built when it is
+    first read. Reading a part the spec does not declare raises E_NO_STATE,
+    E_NO_HAMILTONIAN or E_NO_GRID."""
+
     spec: ExperimentSpec
     groupoid: FiniteGroupoid
     quiver: Quiver | None
-    state: State | None
-    hamiltonian: Hamiltonian | None
-    grid: TimeGrid | None
+
+    @functools.cached_property
+    def state(self) -> State:
+        src, g = self.spec.state_source, self.groupoid
+        if src is None:
+            raise SpecError("E_NO_STATE", "this output requires a state_source in the spec")
+        if isinstance(src, PhiStateSource):
+            if len(src.phi) != g.n_transitions:
+                raise SpecError("E_STATE", f"phi has {len(src.phi)} values but the groupoid has "
+                                f"{g.n_transitions} transitions", "state_source.phi")
+            try:
+                state = state_from_phi(g, GroupoidFunction(np.array(src.phi)))
+            except ValueError as exc:
+                raise SpecError("E_STATE", str(exc), "state_source.phi") from None
+            if src.weight is not None and abs(src.weight - state.weight) > 1e-9:
+                raise SpecError("E_STATE", f"declared weight {src.weight} does not match "
+                                f"derived {state.weight}", "state_source.weight")
+            return state
+
+        if self.quiver is None:
+            raise SpecError("E_STATE", "generator-phase states require a quiver groupoid_source",
+                            "state_source")
+        params = dict(src.params)
+        gen_values = {
+            name: complex(math.cos(theta), math.sin(theta))
+            for name, expr in src.phases
+            for theta in (eval_expr(expr, params, f"state_source.{name}.phase"),)
+        }
+        try:
+            phi = factorizable_extend(g, self.quiver, gen_values)
+            if isinstance(phi, ContradictionReport):
+                raise SpecError("E_CONTRADICTION", f"phases are not consistent: {phi}", "state_source")
+            return state_from_phi(g, phi)
+        except ValueError as exc:
+            raise SpecError("E_STATE", str(exc), "state_source") from None
+
+    @functools.cached_property
+    def hamiltonian(self) -> Hamiltonian:
+        src, g = self.spec.hamiltonian, self.groupoid
+        if src is None:
+            raise SpecError("E_NO_HAMILTONIAN", "this output requires a hamiltonian in the spec")
+        if len(src.coeffs) != g.n_transitions:
+            raise SpecError("E_HAMILTONIAN", f"coeffs has {len(src.coeffs)} values but the groupoid "
+                            f"has {g.n_transitions} transitions", "hamiltonian.coeffs")
+        try:
+            return Hamiltonian(g, element(g, np.array(src.coeffs)))
+        except ValueError as exc:
+            raise SpecError("E_HAMILTONIAN", str(exc), "hamiltonian.coeffs") from None
+
+    @property
+    def grid(self) -> TimeGrid:
+        if self.spec.grid is None:
+            raise SpecError("E_NO_GRID", "this output requires a time grid")
+        return self.spec.grid
 
 
 def build_groupoid(src: GroupoidSource) -> tuple[FiniteGroupoid, Quiver | None]:
@@ -534,69 +590,14 @@ def build_groupoid(src: GroupoidSource) -> tuple[FiniteGroupoid, Quiver | None]:
     return g, None
 
 
-def build_state(
-    src: StateSource, g: FiniteGroupoid, quiver: Quiver | None
-) -> State:
-    if isinstance(src, PhiStateSource):
-        if len(src.phi) != g.n_transitions:
-            raise SpecError(
-                "E_STATE",
-                f"phi has {len(src.phi)} values but the groupoid has {g.n_transitions} transitions",
-                "state_source.phi",
-            )
-        try:
-            state = state_from_phi(g, GroupoidFunction(np.array(src.phi)))
-        except ValueError as exc:
-            raise SpecError("E_STATE", str(exc), "state_source.phi") from None
-        if src.weight is not None and abs(src.weight - state.weight) > 1e-9:
-            raise SpecError(
-                "E_STATE",
-                f"declared weight {src.weight} does not match derived {state.weight}",
-                "state_source.weight",
-            )
-        return state
-
-    if quiver is None:
-        raise SpecError(
-            "E_STATE", "generator-phase states require a quiver groupoid_source", "state_source"
-        )
-    params = dict(src.params)
-    gen_values = {
-        name: complex(math.cos(theta), math.sin(theta))
-        for name, expr in src.phases
-        for theta in (eval_expr(expr, params, f"state_source.{name}.phase"),)
-    }
-    try:
-        phi = factorizable_extend(g, quiver, gen_values)
-        if isinstance(phi, ContradictionReport):
-            raise SpecError("E_CONTRADICTION", f"phases are not consistent: {phi}", "state_source")
-        return state_from_phi(g, phi)
-    except ValueError as exc:
-        raise SpecError("E_STATE", str(exc), "state_source") from None
-
-
-def build_hamiltonian(src: HamiltonianSource, g: FiniteGroupoid) -> Hamiltonian:
-    if len(src.coeffs) != g.n_transitions:
-        raise SpecError(
-            "E_HAMILTONIAN",
-            f"coeffs has {len(src.coeffs)} values but the groupoid has {g.n_transitions} transitions",
-            "hamiltonian.coeffs",
-        )
-    try:
-        return Hamiltonian(g, element(g, np.array(src.coeffs)))
-    except ValueError as exc:
-        raise SpecError("E_HAMILTONIAN", str(exc), "hamiltonian.coeffs") from None
-
-
-def build_experiment(spec: ExperimentSpec) -> BuiltExperiment:
-    """Construct every object the spec declares, with spec-level errors."""
-    g, quiver = build_groupoid(spec.groupoid_source)
-    state = build_state(spec.state_source, g, quiver) if spec.state_source else None
-    ham = build_hamiltonian(spec.hamiltonian, g) if spec.hamiltonian else None
-    return BuiltExperiment(
-        spec=spec, groupoid=g, quiver=quiver, state=state,
-        hamiltonian=ham, grid=spec.grid,
-    )
+def build_experiment(spec: ExperimentSpec, validate: bool = True) -> BuiltExperiment:
+    """The spec's experiment, with spec-level errors. ``validate`` builds every
+    part the spec declares now, so that its errors surface here."""
+    built = BuiltExperiment(spec, *build_groupoid(spec.groupoid_source))
+    for part, declared in (("state", spec.state_source), ("hamiltonian", spec.hamiltonian)):
+        if validate and declared is not None:
+            getattr(built, part)
+    return built
 
 
 def load_spec_file(path) -> ExperimentSpec:

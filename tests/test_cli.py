@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gqm
+from gqm import cli, specio
 from gqm.cli import main
 from gqm.specio import read_bundled
 
@@ -244,6 +245,17 @@ def test_non_finite_grid_is_numeric_error(specdir, capsys):
     assert not (out / "amplitudes.csv").exists() and not (out / "evolve.csv").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--t-start", "--t-stop"])
+def test_non_finite_grid_override_is_grid_error(specdir, capsys, flag, value):
+    """The spec's rule for a grid holds for the command-line overrides too."""
+    out = specdir / "out"
+    assert run_cli("evolve", "--spec", specdir / "qubit.json", "--out", out, f"{flag}={value}") == 2
+    assert capsys.readouterr().err.splitlines()[0] == \
+        "E_GRID: start and stop must be finite (at grid)"
+    assert not out.exists()
+
+
 def test_non_finite_trajectory_is_numeric_error(specdir, capsys, monkeypatch):
     # amplitudes pass, the GNS trajectory does not: the second guard fires
     def nan_trajectory(sp, s, h, grid):
@@ -366,6 +378,60 @@ def test_every_verb_and_format_writes_its_files(specdir, capsys, name, verb):
                 assert rows and all(len(row) == len(header) for row in rows)
 
 
+MANIFEST = json.loads(read_bundled("malformed/manifest.json"))
+# (malformed spec, verb) -> the code of a verb other than check, where it is
+# not the manifest's (None: the verb succeeds). check validates every part the
+# spec declares; the other verbs build only the parts they write, so cayley
+# never meets a bad state or Hamiltonian, and bad_hamiltonian.json declares no
+# state, which the other writers read first.
+PART_CODES = {
+    **{(name, "cayley"): None
+       for name in ("bad_contradiction.json", "bad_hamiltonian.json", "bad_state.json")},
+    **{("bad_hamiltonian.json", verb): "E_NO_STATE"
+       for verb in ("state", "evolve", "measure", "gns")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MANIFEST))
+def test_malformed_specs_under_every_verb(tmp_path, capsys, name):
+    spec = tmp_path / name
+    spec.write_bytes(read_bundled(f"malformed/{name}"))
+    for verb in VERB_FILES:
+        out = tmp_path / verb
+        code = run_cli(verb, "--spec", spec, "--out", out)
+        stderr = capsys.readouterr().err
+        want = MANIFEST[name] if verb == "check" else PART_CODES.get((name, verb), MANIFEST[name])
+        if want is None:
+            assert code == 0, (verb, stderr)
+            assert [p.name for p in out.iterdir()] == [f"{kind}.{fmt}" for kind, fmt in VERB_FILES[verb]]
+        else:
+            assert code == 2 and stderr.startswith(want + ": "), (verb, stderr)
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("verb, calls", [
+    ("check", 1), ("cayley", 0), ("state", 1), ("evolve", 1), ("measure", 1), ("gns", 1),
+])
+def test_each_verb_builds_the_state_only_if_it_writes_it(specdir, capsys, monkeypatch, verb, calls):
+    seen = []
+    extend = specio.factorizable_extend
+
+    def counted(*args, **kwargs):
+        seen.append(args)
+        return extend(*args, **kwargs)
+
+    monkeypatch.setattr(specio, "factorizable_extend", counted)
+    assert run_cli(verb, "--spec", specdir / "ratchet.json", "--out", specdir / "out") == 0
+    assert len(seen) == calls
+
+
+def test_output_tables_agree():
+    """Every spec output kind has a writer, and so does every verb's kind;
+    the state writer is the one kind a spec cannot request."""
+    assert set(specio.OUTPUT_KINDS) == set(cli._OUTPUT_WRITERS) - {"state"}
+    assert all(kind in cli._OUTPUT_WRITERS for _, kinds in cli._VERBS.values() for kind in kinds)
+
+
 BUNDLED = ("ratchet.json", "qubit.json", "pair2.json", "cyclic_only.json")
 
 
@@ -380,7 +446,8 @@ def edited_ratchet(keys, value):
     return json.dumps(doc)
 
 
-TABLE = ("groupoid_source", "group", "table")
+GROUP = ("groupoid_source", "group")
+TABLE = GROUP + ("table",)
 PHASE = ("state_source", "alpha_1", "phase")
 
 
@@ -390,13 +457,16 @@ PHASE = ("state_source", "alpha_1", "phase")
     (edited_ratchet(TABLE + (0, 1), "1"), "E_GROUP_TABLE"),
     (edited_ratchet(TABLE, 1e308), "E_GROUP_TABLE"),
     (edited_ratchet(TABLE + (0, 1), 10**30), "E_GROUP_TABLE"),
+    (edited_ratchet(GROUP + ("order",), 3.0), "E_GROUP_TABLE"),
+    (edited_ratchet(GROUP, {"order": True, "table": [[0]]}), "E_GROUP_TABLE"),
     ('{"groupoid_source": {"pair": [' + "1" * 4301 + "]}}", "E_SYNTAX"),
     ('{"name": ' + "[" * 100000 + "]" * 100000 + "}", "E_SYNTAX"),
     (edited_ratchet(PHASE, "-" * 990 + "1"), "E_PARAM"),
     (edited_ratchet(PHASE, "-" * 3000 + "1"), "E_PARAM"),
     (edited_ratchet(PHASE, "-" * 100000 + "1"), "E_PARAM"),
 ], ids=["float-entry", "bool-entry", "string-entry", "float-table", "huge-entry",
-        "long-int", "deep-arrays", "phase-990", "phase-3000", "phase-100000"])
+        "float-order", "bool-order", "long-int", "deep-arrays", "phase-990", "phase-3000",
+        "phase-100000"])
 def test_hostile_specs_fail_with_a_code(tmp_path, capsys, text, code):
     spec = tmp_path / "spec.json"
     spec.write_text(text)
@@ -416,8 +486,8 @@ def json_paths(doc, path=()):
 
 
 @settings(deadline=None)
-@given(st.sampled_from(BUNDLED), st.data())
-def test_edited_bundled_specs_never_crash(name, data):
+@given(st.sampled_from(BUNDLED), st.sampled_from(sorted(VERB_FILES)), st.data())
+def test_edited_bundled_specs_never_crash(name, verb, data):
     doc = json.loads(read_bundled(name))
     for _ in range(data.draw(st.integers(1, 3))):
         paths = list(json_paths(doc))
@@ -434,7 +504,7 @@ def test_edited_bundled_specs_never_crash(name, data):
     with tempfile.TemporaryDirectory() as tmp:
         spec = Path(tmp) / "spec.json"
         spec.write_text(json.dumps(doc))
-        assert main(["check", "--spec", str(spec), "--out", str(Path(tmp) / "out")]) in (0, 2)
+        assert main([verb, "--spec", str(spec), "--out", str(Path(tmp) / "out")]) in (0, 2)
 
 
 def test_perfbench_bindings_resolve():
