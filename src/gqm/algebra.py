@@ -116,6 +116,40 @@ def regular_representation(g: FiniteGroupoid, f: AlgebraElement) -> np.ndarray:
     return mat
 
 
+def regular_block(g: FiniteGroupoid, coeffs: np.ndarray, fib: np.ndarray) -> np.ndarray:
+    """The block of lambda(f) on the source fiber ``fib``: f(a ∘ b^-1) for a, b in it.
+
+    Since a∘b has the source of b, lambda(f) maps each source fiber into
+    itself, so these blocks are all of it.
+    """
+    return coeffs[g.compose_table[fib[:, None], g.inverse_table[fib][None, :]]]
+
+
+def rank_one_certificate(block: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """Rank-one candidate of a Hermitian block, with its Weyl bound.
+
+    With the pivot p = block[j, j], the largest diagonal entry, and
+    u = block[:, j] / sqrt(p), the candidate R = u u^H agrees with
+    ``block`` on row and column j, and block - R is the Schur complement
+    of the pivot. R has the eigenpair (||u||^2, u / ||u||) and f - 1 zero
+    eigenvalues. By Weyl's inequality each eigenvalue of ``block``, in
+    ascending order, lies within eps = ||block - R||_F of the matching
+    eigenvalue of R. For a Gram block of a state the pivot is a unit
+    value, and for a rank-one block vv^H the largest |v_j|.
+
+    Returns (||u||^2, u, eps). eps is inf when p is not a positive number
+    and NaN when the block holds a NaN or an overflow, so that every test
+    ``eps < bound`` fails and the caller falls back to a diagonalization.
+    """
+    j = int(np.argmax(block.diagonal().real))
+    p = block[j, j].real
+    if not p > 0.0:
+        return 0.0, block[:, j], np.inf
+    u = block[:, j] / np.sqrt(p)
+    eps = float(np.linalg.norm(block - np.outer(u, u.conj())))
+    return float(np.vdot(u, u).real), u, eps
+
+
 def fiber_eigh(fibers, block) -> tuple[np.ndarray, np.ndarray]:
     """np.linalg.eigh of a Hermitian matrix that is block-diagonal over ``fibers``.
 

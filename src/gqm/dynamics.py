@@ -37,9 +37,10 @@ from .algebra import (
     fiber_eigh,
     incidence_element,
     is_self_adjoint,
+    regular_block,
     regular_representation,  # noqa: F401  (kept bound: perfbench/spans.py wraps it)
 )
-from .gns import GnsSpace, represent
+from .gns import GnsSpace, represent  # noqa: F401  (represent: kept bound for perfbench/spans.py)
 from .groupoid import FiniteGroupoid, Outcome
 from .states import State
 
@@ -68,8 +69,7 @@ class Hamiltonian:
         if self._spectrum is None:
             g, coeffs = self.groupoid, self.element.coeffs
             self._spectrum = fiber_eigh(
-                g.source_fibers,
-                lambda fib: coeffs[g.compose_table[fib[:, None], g.inverse_table[fib][None, :]]],
+                g.source_fibers, lambda fib: regular_block(g, coeffs, fib)
             )
         return self._spectrum
 
@@ -173,6 +173,8 @@ def schrodinger_evolve(
 
 
 def feynman_vector(sp: GnsSpace, s: State) -> np.ndarray:
-    """pi_rho(I)|0> with I the incidence element (all-ones coefficients)."""
-    g = s.groupoid
-    return represent(sp, g, incidence_element(g)) @ sp.cyclic_vector
+    """pi_rho(I)|0> with I the incidence element (all-ones coefficients).
+
+    pi(f)|0> is the class [f ⋆ 1] = [f], so this is project @ I.
+    """
+    return sp.project @ incidence_element(s.groupoid).coeffs

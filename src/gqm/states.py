@@ -8,7 +8,14 @@ that reproduces the reference amplitudes while preserving rho(1) = 1.
 
 Positive-definiteness is checked blockwise: the Gram entry
 phi(a^-1 ∘ b) exists exactly when a and b share a target, so each
-target fiber contributes one Hermitian matrix that must be PSD.
+target fiber contributes one Hermitian matrix that must be PSD. For a
+factorizable phi that matrix has rank one, conj(phi(a)) phi(b), so each
+block first gets a rank-one certificate (``algebra.rank_one_certificate``):
+its Weyl bound eps limits how far any eigenvalue lies below zero, and
+eps < tol * scale / 2 proves the block PSD without an eigvalsh. A block
+that fails the certificate falls back to the eigvalsh, so no
+accept/reject decision changes. A block, eigenvalue or unit sum that is
+not finite rejects phi.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, _check
+from .algebra import AlgebraElement, _check, rank_one_certificate
 from .groupoid import FiniteGroupoid, Quiver, Transition
 
 
@@ -99,9 +106,14 @@ def is_positive_definite(
 ) -> PositivityReport:
     """PSD check of the fiberwise Gram matrices phi(a^-1 ∘ b).
 
-    Each target fiber gives one matrix; all must be Hermitian with
-    minimum eigenvalue >= -tol * max|entry|. The witness names the
-    first offending fiber and its minimum eigenvalue.
+    Each target fiber gives one matrix; all must be finite and Hermitian
+    with minimum eigenvalue >= -tol * max|entry|. A fiber whose Hermitian
+    part H passes the rank-one certificate, with Weyl bound
+    eps < tol * scale / 2, needs no eigvalsh: every eigenvalue of H is at
+    least -eps, and the other half of the tolerance covers eigvalsh's own
+    rounding, so the eigvalsh that every other fiber gets would accept it
+    too. The witness names the first offending fiber and its minimum
+    eigenvalue. A NaN fails every comparison here, so it rejects.
     """
     if tol < 0:
         raise ValueError("tolerance must be non-negative")
@@ -115,12 +127,18 @@ def is_positive_definite(
         scale = float(np.max(np.abs(m))) or 1.0
         herm = float(np.max(np.abs(m - m.conj().T)))
         worst_herm = max(worst_herm, herm)
-        if herm > tol * scale:
+        if not herm <= tol * scale:
             return PositivityReport(
                 False, fiber=o.id, min_eigenvalue=None, hermiticity_defect=herm
             )
-        low = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
-        if low < -tol * scale:
+        h = 0.5 * (m + m.conj().T)
+        if not np.isfinite(h).all():
+            low = float("nan")  # an overflowing block has no spectrum to trust
+        elif rank_one_certificate(h)[2] < 0.5 * tol * scale:
+            continue
+        else:
+            low = float(np.linalg.eigvalsh(h)[0])
+        if not low >= -tol * scale:
             return PositivityReport(
                 False, fiber=o.id, min_eigenvalue=low, hermiticity_defect=herm
             )
@@ -264,6 +282,8 @@ def state_from_phi(
             f"hermiticity defect {psd.hermiticity_defect:.3g}"
         )
     unit_sum = complex(np.sum(phi.values[g.unit_table]))
+    if not np.isfinite(unit_sum):
+        raise ValueError("sum of phi over units is not finite; cannot normalize")
     if abs(unit_sum) < 1e-14:
         raise ValueError("sum of phi over units vanishes; cannot normalize")
     # PSD forces the unit values (fiber diagonal entries) real and >= 0

@@ -47,6 +47,45 @@ def character_quivers(draw):
     return q, gqm.generate_from_quiver(q), chi
 
 
+PERTURBATIONS = (0.0, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6)
+
+
+@st.composite
+def gram_phis(draw):
+    """A groupoid from character_quivers and a phi on it, of one of four kinds:
+
+    - "character": theta_{t(a)} chi(label a) conj(theta_{s(a)}), a gauged
+      character, whose target-fiber Gram blocks have rank one;
+    - "perturbed": the same with each phase moved by delta * eta(a), delta
+      from PERTURBATIONS and eta(a^-1) = -eta(a), so phi(a^-1) = conj(phi(a))
+      still holds and the blocks are rank one up to delta;
+    - "mix": a convex mix of two gauged characters, positive and of rank
+      two on a fiber where the gauges differ;
+    - "regular": a convex mix of a gauged character and the indicator of
+      the units, whose blocks have full rank.
+    """
+    q, g, chi = draw(character_quivers())
+    labels = np.array([t.label for t in g.transitions])
+
+    def gauged():
+        theta = np.array(draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=g.n_outcomes,
+                                       max_size=g.n_outcomes)))
+        return np.exp(1j * theta[g.target]) * chi[labels] * np.exp(-1j * theta[g.source])
+
+    phi = gauged()
+    kind = draw(st.sampled_from(("character", "perturbed", "mix", "regular")))
+    if kind == "perturbed":
+        delta = draw(st.sampled_from(PERTURBATIONS))
+        eta = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=g.n_transitions,
+                                     max_size=g.n_transitions)))
+        phi = phi * np.exp(0.5j * delta * (eta - eta[g.inverse_table]))
+    elif kind in ("mix", "regular"):
+        other = gauged() if kind == "mix" else np.isin(np.arange(g.n_transitions), g.unit_table)
+        t = draw(st.floats(0.1, 0.9))
+        phi = t * phi + (1.0 - t) * other
+    return g, gqm.GroupoidFunction(phi), kind
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(SEED)

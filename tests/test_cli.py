@@ -425,6 +425,68 @@ def test_each_verb_builds_the_state_only_if_it_writes_it(specdir, capsys, monkey
     assert len(seen) == calls
 
 
+def overflow_spec(value):
+    return {"groupoid_source": {"pair": [2]}, "state_source": {"phi": [[value, 0]] * 4}}
+
+
+def test_overflowing_phi_is_a_state_error(tmp_path, capsys):
+    # 0.5 (m + m^H) overflows: eigvalsh sees inf, and the unit sum is inf
+    spec = tmp_path / "huge.json"
+    spec.write_text(json.dumps(overflow_spec(1e308)))
+    for verb in ("check", "state", "evolve", "measure", "gns"):
+        assert run_cli(verb, "--spec", spec, "--out", tmp_path / verb) == 2, verb
+        assert capsys.readouterr().err.startswith("E_STATE: "), verb
+    spec.write_text(json.dumps(overflow_spec(1e307)))
+    for verb in ("check", "state"):
+        assert run_cli(verb, "--spec", spec, "--out", tmp_path / "ok") == 0, capsys.readouterr().err
+    state = json.loads((tmp_path / "ok" / "state.json").read_text())
+    assert state["positive_definite"] is True and state["weight"] == pytest.approx(0.5e-307)
+
+
+def count_calls(monkeypatch, *targets):
+    """Wrap each (owner, attribute) so that every call appends the attribute
+    to one shared list, which is returned."""
+    calls = []
+    for owner, attr in targets:
+        fn = getattr(owner, attr)
+        monkeypatch.setattr(owner, attr,
+                            lambda *a, _fn=fn, _attr=attr, **k: calls.append(_attr) or _fn(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["ratchet.json", "pair2.json"])
+def test_character_states_need_no_eigendecomposition(specdir, capsys, monkeypatch, name):
+    """A character state's Gram blocks have rank one: the certificate decides
+    positivity and GNS, so neither verb diagonalizes anything."""
+    calls = count_calls(monkeypatch, (np.linalg, "eigvalsh"), (np.linalg, "eigh"))
+    for verb in ("state", "gns"):
+        assert run_cli(verb, "--spec", specdir / name, "--out", specdir / verb) == 0
+    assert calls == []
+
+
+def test_identity_gram_block_is_diagonalized(tmp_path, capsys, monkeypatch):
+    # Z_2 with phi = (1, 0): the Gram block is the 2x2 identity, of rank two
+    spec = tmp_path / "z2.json"
+    spec.write_text(json.dumps({"groupoid_source": {"cyclic": [1, 2]},
+                                "state_source": {"phi": [[1, 0], [0, 0]]}}))
+    calls = count_calls(monkeypatch, (np.linalg, "eigvalsh"), (np.linalg, "eigh"))
+    assert run_cli("state", "--spec", spec, "--out", tmp_path / "state") == 0
+    assert "eigvalsh" in calls and "eigh" not in calls
+    assert run_cli("gns", "--spec", spec, "--out", tmp_path / "gns") == 0
+    assert "eigh" in calls
+    assert json.loads((tmp_path / "gns" / "gns.json").read_text())["dim"] == 2
+
+
+@pytest.mark.parametrize("name", ["ratchet.json", "qubit.json", "pair2.json", "cyclic_only.json"])
+def test_no_verb_builds_the_regular_representation(specdir, capsys, monkeypatch, name):
+    calls = count_calls(monkeypatch, *[(owner, "regular_representation")
+                                       for owner in (gqm.algebra, gqm.gns, gqm.dynamics, gqm)])
+    for verb in VERB_FILES:
+        code = run_cli(verb, "--spec", specdir / name, "--out", specdir / verb)
+        assert code == (2 if (name, verb) in VERB_FAILS else 0)
+    assert calls == []
+
+
 def test_output_tables_agree():
     """Every spec output kind has a writer, and so does every verb's kind;
     the state writer is the one kind a spec cannot request."""

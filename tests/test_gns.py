@@ -1,7 +1,14 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import gqm
+from gqm.algebra import fiber_eigh, unit_element
+from gqm.gns import gram_matrix
+
+from conftest import gram_phis
 
 
 def uniform_state(g):
@@ -193,3 +200,87 @@ def test_gns_agrees_with_fundamental_picture(c23, ratchet_state, rng):
         psi_unit = gqm.psi_vector(c23, ratchet_state, gqm.unit_element(c23))
         via_fund = gqm.psi_inner(ratchet_state, psi_unit, weighted @ psi_unit)
         assert via_fund == pytest.approx(gqm.expectation(ratchet_state, f), abs=1e-10)
+
+
+# ------------------------------------------------ gns_build vs reference
+
+# Reference: the construction as it was before the rank-one certificate,
+# with the dense Gram matrix and one eigh per target fiber. It returns the
+# GnsSpace fields, and the Gram matrix it was built from.
+def reference_gns_build(g, s, null_tol: float = 1e-10):
+    """Quotient the algebra by the null ideal of the state.
+
+    One eigh per target-fiber block of the Gram matrix. Eigenvalues
+    below null_tol * max eigenvalue are null directions. The kept
+    eigenpairs are stable-sorted ascending, so ties keep fiber order,
+    and each eigenvector's phase is fixed so its first significant
+    component is real positive. For a factorizable
+    state every block has rank one, which makes each kept vector unique
+    up to that phase: the coordinates do not depend on how LAPACK
+    orders a degenerate eigenspace.
+    """
+    gram = gram_matrix(g, s)
+    evals, vecs = fiber_eigh(g.target_fibers, lambda fib: gram[np.ix_(fib, fib)])
+    lam_max = float(evals[-1])
+    if lam_max <= 0.0:
+        raise ValueError("degenerate state: Gram matrix has no positive spectrum")
+    keep = evals > null_tol * lam_max
+    kept = evals[keep]
+    basis = reference_fix_phases(vecs[:, keep])
+    root = np.sqrt(kept)
+    project = root[:, None] * basis.conj().T
+    lift = basis / root[None, :]
+    cyclic = project @ unit_element(g).coeffs
+    return SimpleNamespace(
+        dim=int(keep.sum()),
+        project=project,
+        lift=lift,
+        cyclic_vector=cyclic,
+        gram=gram,
+        eigenvalues=kept,
+    )
+
+
+def reference_fix_phases(v: np.ndarray) -> np.ndarray:
+    v = v.copy()
+    for j in range(v.shape[1]):
+        col = v[:, j]
+        mags = np.abs(col)
+        i = int(np.argmax(mags > 1e-12 * mags.max()))
+        phase = col[i] / abs(col[i])
+        v[:, j] = col * np.conj(phase)
+    return v
+
+
+@settings(deadline=None, max_examples=150)
+@given(gram_phis())
+def test_gns_build_agrees_with_reference(case):
+    g, phi, kind = case
+    try:
+        s = gqm.state_from_phi(g, phi)
+    except ValueError:
+        return  # rejection is test_positivity_decides_as_reference's business
+    got, want = gqm.gns_build(g, s), reference_gns_build(g, s)
+    assert got.dim == want.dim
+    scale = float(want.eigenvalues[-1])
+    assert np.max(np.abs(np.sort(got.eigenvalues) - want.eigenvalues)) <= 1e-12 * scale
+    assert np.max(np.abs(got.eigenvalues - np.sort(got.eigenvalues))) == 0.0
+    pp = got.project.conj().T @ got.project
+    assert np.max(np.abs(pp - want.project.conj().T @ want.project)) <= 1e-12
+    assert np.max(np.abs(got.project @ got.lift - np.eye(got.dim))) <= 1e-12
+    assert np.array_equal(got.gram, want.gram)
+    n = g.n_transitions
+    f = gqm.element(g, np.linspace(-1.0, 1.0, n) * np.exp(0.3j * np.arange(n)))
+    dense = got.project @ gqm.regular_representation(g, f) @ got.lift
+    assert np.max(np.abs(gqm.represent(got, g, f) - dense)) <= 1e-12
+
+
+def test_unit_projections_and_feynman_vector_are_classes(c23, ratchet_state):
+    # pi(f)|0> = [f]: the dense regular representation gives the same vectors
+    sp = gqm.gns_build(c23, ratchet_state)
+    for u in c23.unit_table:
+        via_rep = gqm.represent(sp, c23, gqm.delta(c23, int(u))) @ sp.cyclic_vector
+        assert np.max(np.abs(sp.project[:, u] - via_rep)) < 1e-15
+    inc = gqm.incidence_element(c23)
+    dense = sp.project @ gqm.regular_representation(c23, inc) @ sp.lift @ sp.cyclic_vector
+    assert np.max(np.abs(gqm.feynman_vector(sp, ratchet_state) - dense)) < 1e-14

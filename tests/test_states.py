@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 import gqm
 from gqm.groupoid import FiniteGroupoid, Quiver
-from gqm.states import ContradictionReport, GroupoidFunction
+from gqm.algebra import rank_one_certificate
+from gqm.states import ContradictionReport, GroupoidFunction, PositivityReport
 
-from conftest import DELTA, S_PHASE, character_quivers
+from conftest import DELTA, S_PHASE, character_quivers, gram_phis
 from golden_c23 import golden_phi
 
 
@@ -344,3 +345,67 @@ def test_letter_contradiction_matches_reference(arrows, values):
     assert isinstance(got, ContradictionReport)
     assert got == reference_factorizable_extend(g, q, values)
 
+
+
+# ------------------------------------- is_positive_definite vs reference
+
+# Reference: the check as it was before the rank-one certificate, with one
+# eigvalsh per target fiber.
+def reference_is_positive_definite(
+    g: FiniteGroupoid, phi: GroupoidFunction, tol: float = 1e-10
+) -> PositivityReport:
+    """PSD check of the fiberwise Gram matrices phi(a^-1 ∘ b).
+
+    Each target fiber gives one matrix; all must be Hermitian with
+    minimum eigenvalue >= -tol * max|entry|. The witness names the
+    first offending fiber and its minimum eigenvalue.
+    """
+    if tol < 0:
+        raise ValueError("tolerance must be non-negative")
+    vals = phi.values
+    worst_herm = 0.0
+    for o in g.outcomes:
+        fib = g.target_fibers[o.id]
+        if len(fib) == 0:
+            continue
+        m = vals[g.inverse_products(fib, fib)]
+        scale = float(np.max(np.abs(m))) or 1.0
+        herm = float(np.max(np.abs(m - m.conj().T)))
+        worst_herm = max(worst_herm, herm)
+        if herm > tol * scale:
+            return PositivityReport(
+                False, fiber=o.id, min_eigenvalue=None, hermiticity_defect=herm
+            )
+        low = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
+        if low < -tol * scale:
+            return PositivityReport(
+                False, fiber=o.id, min_eigenvalue=low, hermiticity_defect=herm
+            )
+    return PositivityReport(True, hermiticity_defect=worst_herm)
+
+
+@settings(deadline=None, max_examples=150)
+@given(gram_phis())
+def test_positivity_decides_as_reference(case):
+    g, phi, kind = case
+    got = gqm.is_positive_definite(g, phi)
+    want = reference_is_positive_definite(g, phi)
+    assert (got.ok, got.fiber) == (want.ok, want.fiber)
+    assert got.hermiticity_defect == want.hermiticity_defect
+    if kind == "character":
+        assert got.ok
+
+
+def test_rank_one_certificate_bounds_the_spectrum(rng):
+    v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    e = 1e-9 * rng.standard_normal((5, 5))
+    block = np.outer(v, v.conj()) + (e + e.T)
+    mu, u, eps = rank_one_certificate(block)
+    evals = np.linalg.eigvalsh(block)
+    assert abs(evals[-1] - mu) <= eps
+    assert np.max(np.abs(evals[:-1])) <= eps < 1e-7
+    assert abs(abs(np.vdot(u, v)) - np.linalg.norm(u) * np.linalg.norm(v)) < 1e-6
+    # a pivot that is not positive, and a NaN, both fail every `eps < bound`
+    assert rank_one_certificate(-block)[2] == np.inf
+    block[0, 1] = np.nan
+    assert not rank_one_certificate(block)[2] < np.inf
