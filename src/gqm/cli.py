@@ -11,7 +11,7 @@ ordering.
 Exit code 0 on success; on failure a machine-readable diagnostic
 code is printed first on stderr and the exit code is nonzero: 2 for a
 spec that cannot be evaluated (E_NUMERIC when it yields non-finite
-amplitudes or trajectories) and for a bad command line (E_USAGE), 3 for
+amplitudes, trajectories or GNS data) and for a bad command line (E_USAGE), 3 for
 E_IO, 4 for E_INTERNAL. A failing verb leaves no files behind.
 """
 
@@ -137,11 +137,9 @@ def write_amplitudes(built: BuiltExperiment, outdir: Path, fmt: str = "csv") -> 
     """rho(1_y u_t 1_x) for every ordered outcome pair over the grid."""
     s, h, grid = built.state, built.hamiltonian, built.grid
     g = built.groupoid
-    columns = {
-        f"{y.label}<-{x.label}": amplitude_grid(s, x, y, h, grid)
-        for x in g.outcomes for y in g.outcomes
-    }
-    _require_finite("amplitudes", *columns.values())
+    amps = amplitude_grid(s, h, grid)
+    _require_finite("amplitudes", amps)
+    columns = {f"{y.label}<-{x.label}": amps[y.id, x.id] for x in g.outcomes for y in g.outcomes}
     if fmt == "json":
         obj = {
             "t": [float(t) for t in grid.times],
@@ -175,20 +173,21 @@ def write_gns(built: BuiltExperiment, outdir: Path, fmt: str = "json") -> Path:
     s = built.state
     g = built.groupoid
     sp = gns_build(g, s)
+    feynman = feynman_vector(sp, s)
+    # pi(delta_{1_x})|0> is the class of delta_{1_x}: a column of project
+    units = sp.project[:, g.unit_table]
+    _require_finite("GNS vectors", sp.eigenvalues, sp.cyclic_vector, feynman, units)
     obj = {
         "dim": sp.dim,
         "gram_eigenvalues": [float(v) for v in sp.eigenvalues],
         "cyclic_vector": _pairs(sp.cyclic_vector),
-        "feynman_vector": _pairs(feynman_vector(sp, s)),
-        # pi(delta_{1_x})|0> is the class of delta_{1_x}: a column of project
-        "unit_projections": {
-            o.label: _pairs(sp.project[:, g.unit_table[o.id]]) for o in g.outcomes
-        },
+        "feynman_vector": _pairs(feynman),
+        "unit_projections": {o.label: _pairs(units[:, o.id]) for o in g.outcomes},
     }
     if built.spec.hamiltonian is not None:
-        obj["hamiltonian_matrix"] = [
-            _pairs(row) for row in represent(sp, g, built.hamiltonian.element)
-        ]
+        h_mat = represent(sp, g, built.hamiltonian.element)
+        _require_finite("GNS hamiltonian_matrix entries", h_mat)
+        obj["hamiltonian_matrix"] = [_pairs(row) for row in h_mat]
     return _write_tree(outdir / "gns", obj, fmt)
 
 

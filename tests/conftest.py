@@ -47,6 +47,27 @@ def character_quivers(draw):
     return q, gqm.generate_from_quiver(q), chi
 
 
+def fiber_eigh(fibers, block) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh of a Hermitian matrix that is block-diagonal over ``fibers``.
+
+    ``fibers`` partition the indices and ``block(fib)`` returns the block
+    on ``fib``; each block gets its own eigh. The result keeps eigh's
+    contract: eigenvalues ascending (a stable sort, so ties keep fiber
+    order) and eigenvector columns zero off the block they came from.
+    The dense references of the tests assemble their spectra with it.
+    """
+    n = sum(len(fib) for fib in fibers)
+    evals = np.empty(n)
+    vecs = np.zeros((n, n), dtype=complex)
+    start = 0
+    for fib in fibers:
+        stop = start + len(fib)
+        evals[start:stop], vecs[fib, start:stop] = np.linalg.eigh(block(fib))
+        start = stop
+    order = np.argsort(evals, kind="stable")
+    return evals[order], vecs[:, order]
+
+
 PERTURBATIONS = (0.0, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6)
 
 

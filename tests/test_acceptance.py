@@ -96,10 +96,9 @@ def test_criterion_03_factorizability_constraint(c23, ratchet_quiver):
 def test_criterion_04_ratchet_constancy(ratchet_state, ratchet_h):
     worst_diag = worst_cross = worst_sym = 0.0
     grid = gqm.TimeGrid(0.0, 10.0, 101)
-    app = gqm.amplitude_grid(ratchet_state, "+", "+", ratchet_h, grid)
-    amm = gqm.amplitude_grid(ratchet_state, "-", "-", ratchet_h, grid)
-    apm = gqm.amplitude_grid(ratchet_state, "+", "-", ratchet_h, grid)
-    amp = gqm.amplitude_grid(ratchet_state, "-", "+", ratchet_h, grid)
+    p, m = (ratchet_state.groupoid.outcome(label).id for label in "+-")
+    amps = gqm.amplitude_grid(ratchet_state, ratchet_h, grid)  # [y, x, t]
+    app, amm, apm, amp = amps[p, p], amps[m, m], amps[m, p], amps[p, m]
     worst_diag = float(np.max(np.abs(app - 0.5)))
     worst_cross = float(np.max(np.abs(amp)))
     worst_sym = max(
@@ -112,8 +111,9 @@ def test_criterion_04_ratchet_constancy(ratchet_state, ratchet_h):
 
 def test_criterion_05_qubit_recovery(ratchet_state, qubit_h):
     grid = gqm.TimeGrid(0.0, 10.0, 101)
-    app = gqm.amplitude_grid(ratchet_state, "+", "+", qubit_h, grid)
-    amp = gqm.amplitude_grid(ratchet_state, "+", "-", qubit_h, grid)
+    p, m = (ratchet_state.groupoid.outcome(label).id for label in "+-")
+    amps = gqm.amplitude_grid(ratchet_state, qubit_h, grid)  # [y, x, t]
+    app, amp = amps[p, p], amps[m, p]
     want_diag = 0.5 * np.cos(grid.times / 2)
     want_cross = 0.5 * np.abs(np.sin(grid.times / 2))
     d1 = float(np.max(np.abs(app - want_diag)))

@@ -443,6 +443,19 @@ def test_overflowing_phi_is_a_state_error(tmp_path, capsys):
     assert state["positive_definite"] is True and state["weight"] == pytest.approx(0.5e-307)
 
 
+def test_overflowing_hamiltonian_is_a_numeric_error(tmp_path, capsys):
+    # each coefficient is finite, but pi(h) on the GNS space sums them past 1e308
+    spec = tmp_path / "huge_h.json"
+    spec.write_text(json.dumps({"groupoid_source": {"cyclic": [2, 2]},
+                                "state_source": {"phi": [[1, 0]] * 8},
+                                "hamiltonian": {"coeffs": [[1e308, 0]] * 8}}))
+    assert run_cli("check", "--spec", spec, "--out", tmp_path / "check") == 0
+    out = tmp_path / "gns"
+    assert run_cli("gns", "--spec", spec, "--out", out) == 2
+    assert capsys.readouterr().err.startswith("E_NUMERIC: ")
+    assert not out.exists()
+
+
 def count_calls(monkeypatch, *targets):
     """Wrap each (owner, attribute) so that every call appends the attribute
     to one shared list, which is returned."""
@@ -475,6 +488,80 @@ def test_identity_gram_block_is_diagonalized(tmp_path, capsys, monkeypatch):
     assert run_cli("gns", "--spec", spec, "--out", tmp_path / "gns") == 0
     assert "eigh" in calls
     assert json.loads((tmp_path / "gns" / "gns.json").read_text())["dim"] == 2
+
+
+def dynamics_spec(g, groupoid_source, character, seed, steps=21):
+    """A spec over ``g`` (built as ``groupoid_source`` builds it) with the
+    state of phi(a) = e^{i(theta_t(a) - theta_s(a))} character[label(a)],
+    a random self-adjoint Hamiltonian and a grid of ``steps`` times."""
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(-np.pi, np.pi, g.n_outcomes)
+    labels = np.array([t.label for t in g.transitions])
+    phi = np.exp(1j * (theta[g.target] - theta[g.source])) * character[labels]
+    return {"groupoid_source": groupoid_source,
+            "state_source": {"phi": cli._pairs(phi)},
+            "hamiltonian": {"coeffs": cli._pairs(gqm.random_self_adjoint(g, rng).coeffs)},
+            "grid": {"start": 0.0, "stop": 5.0, "steps": steps}}
+
+
+def cyclic_spec(n, k, seed=0):
+    g = gqm.cyclic_groupoid(n, k)
+    return dynamics_spec(g, {"cyclic": [n, k]}, np.exp(2j * np.pi * np.arange(k) / k), seed)
+
+
+def disconnected_quiver_spec(seed=0):
+    """Outcomes a, b, c, d, e over Z_3: a -> b, a loop at c, and d, e isolated,
+    so four connected components."""
+    labels = ["a", "b", "c", "d", "e"]
+    group = gqm.cyclic_group(3)
+    arrows = [("a", "b", 1), ("c", "c", 1)]  # (source, target, label)
+    g = gqm.generate_from_quiver(gqm.make_quiver(labels, group, arrows, names=("r", "l")))
+    source = {"outcomes": labels,
+              "group": {"order": 3, "table": [[(i + j) % 3 for j in range(3)] for i in range(3)]},
+              "generators": [{"name": name, "source": x, "target": y, "label": label}
+                             for name, (x, y, label) in zip(("r", "l"), arrows)]}
+    return dynamics_spec(g, source, np.ones(3), seed)
+
+
+@pytest.mark.parametrize("name, components", [
+    ("cyclic_6_4.json", 1), ("ratchet.json", 1), ("disconnected_quiver.json", 4)])
+def test_evolve_diagonalizes_once_per_component(specdir, capsys, monkeypatch, name, components):
+    """All source-fiber blocks of a connected component are one matrix up to a
+    permutation, so evolve runs one eigh per component, isolated outcomes
+    included; the character states' Gram blocks need none."""
+    spec = specdir / name
+    if name != "ratchet.json":
+        doc = cyclic_spec(6, 4) if name.startswith("cyclic") else disconnected_quiver_spec()
+        spec.write_text(json.dumps(doc))
+    calls = count_calls(monkeypatch, (np.linalg, "eigh"))
+    assert run_cli("evolve", "--spec", spec, "--out", specdir / "out") == 0, capsys.readouterr().err
+    assert len(calls) == components
+
+
+def read_cells(path):
+    return np.array([[float(v) for v in row] for row in read_csv(path)[1]])
+
+
+def test_artifacts_agree_across_blas_thread_counts(tmp_path):
+    """evolve and gns on C_{16,8} give the same numbers on 1 and 2 BLAS threads:
+    every CSV cell within 1e-13, and gns.json byte for byte."""
+    spec = tmp_path / "c16_8.json"
+    spec.write_text(json.dumps(cyclic_spec(16, 8)))
+    src = str(Path(gqm.__file__).resolve().parents[1])
+    outs = {}
+    for threads in ("1", "2"):
+        outs[threads] = out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        for verb in ("evolve", "gns"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "gqm.cli", verb, "--spec", str(spec), "--out", str(out)],
+                capture_output=True, text=True, env=env, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+    for name in ("amplitudes.csv", "evolve.csv"):
+        one, two = (read_cells(outs[t] / name) for t in ("1", "2"))
+        assert one.shape == two.shape and np.max(np.abs(one - two)) <= 1e-13, name
+    assert (outs["1"] / "gns.json").read_bytes() == (outs["2"] / "gns.json").read_bytes()
 
 
 @pytest.mark.parametrize("name", ["ratchet.json", "qubit.json", "pair2.json", "cyclic_only.json"])

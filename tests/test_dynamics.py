@@ -4,7 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 import gqm
 
-from conftest import DELTA, S_PHASE, character_quivers, element_from_names
+from gqm.algebra import regular_block
+
+from conftest import DELTA, S_PHASE, character_quivers, element_from_names, fiber_eigh, gram_phis
 from golden_c23 import (
     closed_form_qubit_u,
     closed_form_ratchet_u,
@@ -16,6 +18,12 @@ from golden_c23 import (
 def test_hamiltonian_rejects_non_self_adjoint(c23, ids):
     with pytest.raises(ValueError, match="self-adjoint"):
         gqm.Hamiltonian(c23, gqm.delta(c23, ids["a1"]))
+
+
+def test_spectrum_is_cached_and_not_a_parameter(c23, ratchet_h):
+    assert ratchet_h.spectrum() is ratchet_h.spectrum()
+    with pytest.raises(TypeError):
+        gqm.Hamiltonian(c23, ratchet_h.element, _spectrum=None)
 
 
 def test_derivation_kills_hamiltonian_and_unit(c23, ratchet_h):
@@ -172,7 +180,8 @@ def test_amplitude_hermitian_symmetry(c23, ratchet_state, rng):
 
 def test_amplitude_grid_matches_pointwise(c23, ratchet_state, qubit_h):
     grid = gqm.TimeGrid(0.0, 5.0, 11)
-    vals = gqm.amplitude_grid(ratchet_state, "+", "+", qubit_h, grid)
+    p = c23.outcome("+").id
+    vals = gqm.amplitude_grid(ratchet_state, qubit_h, grid)[p, p]
     for t, v in zip(grid.times, vals):
         assert v == pytest.approx(gqm.amplitude(ratchet_state, "+", "+", qubit_h, t), abs=1e-13)
 
@@ -298,24 +307,26 @@ def test_fiber_dynamics_match_dense_reference(system, t0, span):
     def dense_u(t):
         return gqm.AlgebraElement(((vecs * np.exp(1j * t * evals)) @ vecs.conj().T)[at_units])
 
-    # the fiber spectrum keeps the dense contract: same evals, V diag(λ) V† = lambda(h)
-    f_evals, f_vecs = h.spectrum()
-    assert max_diff(f_evals, evals) < TOL
-    assert max_diff((f_vecs * f_evals) @ f_vecs.conj().T, lam) < TOL
-    for col in f_vecs.T:
-        assert len(set(g.source[np.abs(col) > 0])) == 1
+    # the fiber blocks diagonalize lambda(h): together the same evals, and on
+    # each source fiber G_x, read in the block's row order, V diag(λ) V† = lambda(h)|_{G_x}
+    blocks = h.spectrum()
+    assert max_diff(np.sort(np.concatenate([ev for _, ev, _ in blocks])), evals) < TOL
+    for x, (fib, f_evals, f_vecs) in enumerate(blocks):
+        assert sorted(fib) == sorted(g.source_fibers[x])
+        assert max_diff((f_vecs * f_evals) @ f_vecs.conj().T, lam[np.ix_(fib, fib)]) < TOL
 
     grid = gqm.TimeGrid(t0, t0 + span, 4)
     for t in grid.times:
         assert (gqm.exponential(g, h, t) - dense_u(t)).max_abs() < TOL
     units = [gqm.delta(g, int(u)) for u in g.unit_table]
+    amps = gqm.amplitude_grid(s, h, grid)
     for x in g.outcomes:
         for y in g.outcomes:
             want = [
                 gqm.expectation(s, gqm.convolve(g, gqm.convolve(g, units[y.id], dense_u(t)), units[x.id]))
                 for t in grid.times
             ]
-            assert max_diff(gqm.amplitude_grid(s, x, y, h, grid), want) < TOL
+            assert max_diff(amps[y.id, x.id], want) < TOL
 
 
 @settings(deadline=None)
@@ -337,3 +348,96 @@ def test_fiber_gns_matches_dense_reference(system):
     assert sp.dim == g.n_outcomes
     for col in sp.lift.T:
         assert len(set(g.target[np.abs(col) > 0])) == 1
+
+
+# ------------------------------------------- component blocks vs dense reference
+
+# Reference: the dynamics as it was before the component blocks, with the
+# dense |G| x |G| eigenvector matrix assembled from one eigh per source fiber
+# and one exp over the grid per outcome pair.
+def reference_spectrum(h):
+    """Eigendecomposition (evals, vecs) of the regular representation.
+
+    One eigh per source fiber G_x, on the block h(a ∘ b^-1) for
+    a, b in G_x. The full pair is assembled from the blocks: column
+    m of ``vecs`` is zero off the fiber it came from, and ``evals``
+    is sorted ascending with a stable sort, so ties keep fiber order.
+    """
+    g, coeffs = h.groupoid, h.element.coeffs
+    return fiber_eigh(g.source_fibers, lambda fib: regular_block(g, coeffs, fib))
+
+
+def reference_exponential(g, h, t):
+    """u_t(a) = sum_m V[a, m] e^{itλ_m} conj(V[1_{s(a)}, m])."""
+    evals, vecs = reference_spectrum(h)
+    units = vecs[g.unit_table[g.source]].conj()
+    return gqm.AlgebraElement(np.einsum("am,m,am->a", vecs, np.exp(1j * t * evals), units))
+
+
+def reference_amplitude_grid(s, x, y, h, grid):
+    """rho(delta_{1_y} ⋆ u_t ⋆ delta_{1_x}) at every time of the grid:
+
+        w · exp(i t⊗λ) @ c,   c_m = (sum_{a: x -> y} phi(a) V[a, m]) conj(V[1_x, m]).
+    """
+    g = s.groupoid
+    evals, vecs = reference_spectrum(h)
+    arrows = g.arrows(x, y)
+    c = (s.phi.values[arrows] @ vecs[arrows]) * vecs[g.unit(x).id].conj()
+    return s.weight * (np.exp(1j * np.outer(grid.times, evals)) @ c)
+
+
+def reference_schrodinger_evolve(sp, s, h, grid):
+    """psi_t = exp(-itH)|0>, one product with the dense vecs per time."""
+    evals, vecs = reference_spectrum(h)
+    left = sp.project @ vecs
+    right = vecs.conj().T @ sp.lift @ sp.cyclic_vector
+    return np.array([(left * np.exp(-1j * t * evals)) @ right for t in grid.times])
+
+
+def test_component_blocks_follow_right_translation(rng):
+    """Over Z_4 with the isotropy {0, 2}, the arrows a -> b carry the labels
+    {1, 3}. Each fiber in ascending id order then has its own block, and only
+    reading G_b as G_a ∘ r, for an arrow r: b -> a, lines it up with G_a's."""
+    q = gqm.make_quiver(["a", "b"], gqm.cyclic_group(4), [("a", "b", 1), ("a", "a", 2)])
+    g = gqm.generate_from_quiver(q)
+    s = gqm.state_from_phi(g, gqm.GroupoidFunction(np.ones(g.n_transitions)))
+    h = gqm.Hamiltonian(g, gqm.random_self_adjoint(g, rng))
+    blocks = [regular_block(g, h.element.coeffs, fib) for fib in g.source_fibers]
+    assert max_diff(*blocks) > 0.1
+    lam = gqm.regular_representation(g, h.element)
+    for fib, evals, vecs in h.spectrum():
+        assert max_diff((vecs * evals) @ vecs.conj().T, lam[np.ix_(fib, fib)]) < TOL
+    grid = gqm.TimeGrid(0.0, 2.0, 5)
+    amps = gqm.amplitude_grid(s, h, grid)
+    for x in g.outcomes:
+        for y in g.outcomes:
+            assert max_diff(amps[y.id, x.id], reference_amplitude_grid(s, x, y, h, grid)) < TOL
+    sp = gqm.gns_build(g, s)
+    assert max_diff(gqm.schrodinger_evolve(sp, s, h, grid),
+                    reference_schrodinger_evolve(sp, s, h, grid)) < TOL
+
+
+@settings(deadline=None)
+@given(gram_phis(), st.integers(0, 2**32 - 1), st.floats(-3, 3), st.floats(0, 3))
+def test_component_dynamics_match_dense_reference(case, seed, t0, span):
+    """Disconnected quivers, isolated outcomes and non-factorizable positive phi."""
+    g, phi, kind = case
+    try:
+        s = gqm.state_from_phi(g, phi)
+    except ValueError:
+        return  # not a state: positivity is tested against its own reference
+    h = gqm.Hamiltonian(g, gqm.random_self_adjoint(g, np.random.default_rng(seed)))
+    grid = gqm.TimeGrid(t0, t0 + span, 5)
+    amps = gqm.amplitude_grid(s, h, grid)
+    assert amps.shape == (g.n_outcomes, g.n_outcomes, grid.steps)
+    for x in g.outcomes:
+        for y in g.outcomes:
+            assert max_diff(amps[y.id, x.id], reference_amplitude_grid(s, x, y, h, grid)) < TOL
+    for t in grid.times:
+        assert (gqm.exponential(g, h, t) - reference_exponential(g, h, t)).max_abs() < TOL
+    sp = gqm.gns_build(g, s)
+    want = reference_schrodinger_evolve(sp, s, h, grid)
+    assert max_diff(gqm.schrodinger_evolve(sp, s, h, grid), want) < TOL
+    # one eigh per connected component: fibers of a component share the arrays
+    components = {frozenset(g.target[fib]) for fib in g.source_fibers}
+    assert len({id(evals) for _, evals, _ in h.spectrum()}) == len(components)

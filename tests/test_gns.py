@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 
 import gqm
-from gqm.algebra import fiber_eigh, unit_element
+from gqm.algebra import unit_element
 from gqm.gns import gram_matrix
 
-from conftest import gram_phis
+from conftest import fiber_eigh, gram_phis
 
 
 def uniform_state(g):
