@@ -122,7 +122,7 @@ def regular_block(g: FiniteGroupoid, coeffs: np.ndarray, fib: np.ndarray) -> np.
     Since a∘b has the source of b, lambda(f) maps each source fiber into
     itself, so these blocks are all of it.
     """
-    return coeffs[g.compose_table[fib[:, None], g.inverse_table[fib][None, :]]]
+    return coeffs[g.compose_ids(fib[:, None], g.inverse_table[fib][None, :])]
 
 
 def rank_one_certificate(block: np.ndarray) -> tuple[float, np.ndarray, float]:

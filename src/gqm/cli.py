@@ -21,6 +21,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import io
 import json
 import shutil
 import sys
@@ -40,8 +41,10 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _pairs(vec) -> list[list[float]]:
-    return [[float(c.real), float(c.imag)] for c in np.asarray(vec, dtype=complex)]
+def _pairs(vec) -> list:
+    """[re, im] of each entry of a complex array, nested as the array is."""
+    vec = np.asarray(vec, dtype=complex)
+    return np.stack([vec.real, vec.imag], axis=-1).tolist()
 
 
 def _require_finite(name: str, *arrays) -> None:
@@ -63,17 +66,29 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> Path:
     return path
 
 
+def _csv_quoted(texts: list[str]) -> list[str]:
+    """Each non-empty text as the csv writer of ``_write_csv`` writes it as a cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    ends = []
+    for text in texts:
+        writer.writerow([text])
+        ends.append(buf.tell())
+    written = buf.getvalue()
+    return [written[start:end - 1] for start, end in zip([0, *ends], ends)]
+
+
 def _write_series(path: Path, times, columns: dict, reals: dict) -> Path:
     """CSV with one row per time: t, re/im of each complex column, then
-    each real column."""
+    each real column. One format call per row; "%.17g" rounds as _fmt does."""
     header = ["t"] + [f"{part}({name})" for name in columns for part in ("re", "im")]
-    rows = []
-    for i, t in enumerate(times):
-        row = [_fmt(float(t))]
-        for col in columns.values():
-            row += [_fmt(col[i].real), _fmt(col[i].imag)]
-        rows.append(row + [_fmt(float(col[i])) for col in reals.values()])
-    return _write_csv(path, header + list(reals), rows)
+    cells = [times] + [part for col in columns.values() for part in (col.real, col.imag)]
+    table = np.column_stack(cells + list(reals.values()))
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header + list(reals))
+        fh.writelines(line % tuple(row) for row in table.tolist())
+    return path
 
 
 def _flatten(obj, prefix=""):
@@ -112,13 +127,19 @@ def write_cayley(built: BuiltExperiment, outdir: Path, fmt: str = "csv") -> Path
     """The multiplication table, '*' where composition is undefined."""
     g = built.groupoid
     names = [transition_name(g, t) for t in g.transitions]
-    undefined = None if fmt == "json" else "*"
-    # one gather: entry -1 (undefined) picks the last cell, the marker
-    table = np.array(names + [undefined], dtype=object)[g.compose_table].tolist()
+    # one gather per table: entry -1 (undefined) picks the last cell, the marker
     if fmt == "json":
+        table = np.array(names + [None], dtype=object)[g.compose_table].tolist()
         return _write_json(outdir / "cayley.json", {"transitions": names, "table": table})
-    rows = [[name] + row for name, row in zip(names, table)]
-    return _write_csv(outdir / "cayley.csv", ["o"] + names, rows)
+    # csv: each cell text quoted once, and the table streamed row by row
+    head, *quoted, star = _csv_quoted(["o", *names, "*"])
+    cells = np.array(quoted + [star], dtype=object)
+    path = outdir / "cayley.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join([head, *quoted]) + "\n")
+        for name, row in zip(quoted, g.compose_table):
+            fh.write(name + "," + ",".join(cells[row].tolist()) + "\n")
+    return path
 
 
 def write_state(built: BuiltExperiment, outdir: Path, fmt: str = "json") -> Path:
@@ -164,7 +185,7 @@ def write_measure(built: BuiltExperiment, outdir: Path, fmt: str = "json") -> Pa
     obj: dict = {"fiber_measures": fibers}
     if amp is not None:
         defect = reproducibility_defect(s)
-        obj["amplitude_matrix"] = [_pairs(row) for row in amp]
+        obj["amplitude_matrix"] = _pairs(amp)
         obj["reproducibility_defect"] = {"raw": defect.raw, "normalized": defect.normalized}
     return _write_tree(outdir / "measure", obj, fmt)
 
@@ -187,7 +208,7 @@ def write_gns(built: BuiltExperiment, outdir: Path, fmt: str = "json") -> Path:
     if built.spec.hamiltonian is not None:
         h_mat = represent(sp, g, built.hamiltonian.element)
         _require_finite("GNS hamiltonian_matrix entries", h_mat)
-        obj["hamiltonian_matrix"] = [_pairs(row) for row in h_mat]
+        obj["hamiltonian_matrix"] = _pairs(h_mat)
     return _write_tree(outdir / "gns", obj, fmt)
 
 
@@ -201,7 +222,7 @@ def write_evolution(built: BuiltExperiment, outdir: Path, fmt: str = "csv") -> P
     if fmt == "json":
         obj = {
             "t": [float(t) for t in grid.times],
-            "psi": [_pairs(row) for row in psi],
+            "psi": _pairs(psi),
             "norm": [float(v) for v in norms],
         }
         return _write_json(outdir / "evolve.json", obj)

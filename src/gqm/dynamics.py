@@ -86,7 +86,7 @@ class Hamiltonian:
             else:
                 r = fib[np.argmax(targets == x0)]
                 fib0, evals, vecs = blocks[x0]
-                blocks.append((g.compose_table[fib0, r], evals, vecs))
+                blocks.append((g.compose_ids(fib0, r), evals, vecs))
         return blocks
 
 

@@ -10,12 +10,20 @@ strictly at load) or algebraically: pair groupoids, cyclic groupoids
 C_{n,k}, and closures of group-labeled quivers. Labeled transitions are
 canonically ordered by (target, source, label), and duplicate words
 collapse onto one transition.
+
+A constructed groupoid is a set of triples (y, γ, x) in Ω×Γ×Ω, so it
+composes by structure, a∘b = (t(a), L(a)·L(b), s(b)) when s(a) = t(b),
+through an (|Ω|, |Γ|, |Ω|) lookup. Its |G|×|G| composition table is
+scattered from the composable pairs only when something reads it: the
+axiom check and the Cayley table do, dynamics, states, GNS and measures
+do not.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,10 +88,21 @@ class GroupoidAxiomError(ValueError):
 class FiniteGroupoid:
     """Outcomes, transitions, and the partial composition structure.
 
-    Immutable after construction. ``compose_table[a, b]`` holds the id
-    of a∘b, or -1 where the pair is not composable. ``axiom_report`` is
-    the ``check_axioms`` report of a construction with ``validate=True``,
-    kept so that it is not computed again, and None without validation.
+    Immutable after construction. ``compose_ids(a, b)`` gives the ids of
+    a∘b, or -1 where a pair is not composable. A groupoid built from
+    (target, label, source) triples in Ω×Γ×Ω (``cyclic_groupoid``,
+    ``pair_groupoid``, ``generate_from_quiver``) composes through its
+    (|Ω|, |Γ|, |Ω|) lookup, a∘b = lookup[t(a), L(a)·L(b), s(b)]; one
+    given an explicit table reads that table.
+
+    The composable pairs ``pair_left``, ``pair_right`` and ``pair_result``
+    (|G|²/|Ω| ids each, in the row-major order of the table) and the |G|×|G|
+    ``compose_table`` (a∘b or -1, scattered from the pairs) are built on
+    first read. Of the product, only ``check_axioms``, the Cayley writer
+    and ``==`` read the table; the factorization checks of states and
+    convolution read the pairs. ``axiom_report`` is the
+    ``check_axioms`` report of a construction with ``validate=True``, kept
+    so that it is not computed again, and None without validation.
     """
 
     def __init__(
@@ -96,10 +115,32 @@ class FiniteGroupoid:
         group: FiniteGroup | None = None,
         validate: bool = True,
     ):
+        self._init(outcomes, transitions, inverse_table, unit_table, group)
+        n = self.n_transitions
+        self.compose_table = np.asarray(compose_table, dtype=int)
+        if self.compose_table.shape != (n, n):
+            raise ValueError("compose table shape must be |G| x |G|")
+        self._lookup = None
+        self.axiom_report = check_axioms(self) if validate else None
+        if validate and not self.axiom_report.ok:
+            raise GroupoidAxiomError(self.axiom_report)
+
+    @classmethod
+    def _from_lookup(cls, outcomes, transitions, lookup, labels, inverse_table, unit_table,
+                     group: FiniteGroup) -> "FiniteGroupoid":
+        """A groupoid whose arrow (y, γ, x) has the id ``lookup[y, γ, x]``
+        and whose table is built only when read; ``labels`` holds each
+        arrow's γ. Not validated."""
+        g = cls.__new__(cls)
+        g._init(outcomes, transitions, inverse_table, unit_table, group)
+        g._lookup, g._labels = lookup, labels
+        g.axiom_report = None
+        return g
+
+    def _init(self, outcomes, transitions, inverse_table, unit_table, group) -> None:
         self.outcomes = tuple(outcomes)
         self.transitions = tuple(transitions)
         self.group = group
-        self.compose_table = np.asarray(compose_table, dtype=int)
         self.inverse_table = np.asarray(inverse_table, dtype=int)
         self.unit_table = np.asarray(unit_table, dtype=int)
 
@@ -111,8 +152,6 @@ class FiniteGroupoid:
             raise ValueError("outcome ids must be dense 0..|Omega|-1")
         if [t.id for t in self.transitions] != list(range(n)):
             raise ValueError("transition ids must be dense 0..|G|-1")
-        if self.compose_table.shape != (n, n):
-            raise ValueError("compose table shape must be |G| x |G|")
         if self.inverse_table.shape != (n,):
             raise ValueError("inverse table must have one entry per transition")
         if self.unit_table.shape != (len(self.outcomes),):
@@ -137,15 +176,47 @@ class FiniteGroupoid:
         self.source_fibers = [
             np.where(self.source == x.id)[0] for x in self.outcomes
         ]
-        # composable pairs, flattened once for convolution and checking
-        left, right = np.nonzero(self.compose_table >= 0)
-        self.pair_left = left
-        self.pair_right = right
-        self.pair_result = self.compose_table[left, right]
 
-        self.axiom_report = check_axioms(self) if validate else None
-        if validate and not self.axiom_report.ok:
-            raise GroupoidAxiomError(self.axiom_report)
+    def compose_ids(self, a, b) -> np.ndarray:
+        """Ids of a∘b for the transition ids ``a`` and ``b``, broadcast
+        against each other; -1 where s(a) != t(b)."""
+        if self._lookup is None:
+            return self.compose_table[a, b]
+        c = self._lookup[
+            self.target[a], self.group.table[self._labels[a], self._labels[b]], self.source[b]
+        ]
+        return np.where(self.source[a] == self.target[b], c, UNDEFINED)
+
+    @cached_property
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # row a of the table is defined on the target fiber of s(a), ascending
+        rows = [self.target_fibers[x] for x in self.source.tolist()]
+        left = np.repeat(np.arange(self.n_transitions), [len(row) for row in rows])
+        right = np.concatenate([np.empty(0, dtype=int), *rows])
+        return left, right, self.compose_ids(left, right)
+
+    @property
+    def pair_left(self) -> np.ndarray:
+        """a of each composable pair (a, b), ascending; ties by ascending b."""
+        return self._pairs[0]
+
+    @property
+    def pair_right(self) -> np.ndarray:
+        """b of each composable pair (a, b), in ``pair_left`` order."""
+        return self._pairs[1]
+
+    @property
+    def pair_result(self) -> np.ndarray:
+        """a∘b of each composable pair (a, b), in ``pair_left`` order."""
+        return self._pairs[2]
+
+    @cached_property
+    def compose_table(self) -> np.ndarray:
+        """(|G|, |G|) ids of a∘b, -1 where not composable; built on first read."""
+        n = self.n_transitions
+        table = np.full((n, n), UNDEFINED, dtype=int)
+        table[self.pair_left, self.pair_right] = self.pair_result
+        return table
 
     @property
     def n_outcomes(self) -> int:
@@ -170,7 +241,7 @@ class FiniteGroupoid:
 
     def compose(self, a: Transition | int, b: Transition | int) -> Transition | None:
         """a∘b ("first b, then a"), or None when not composable."""
-        cid = self.compose_table[_tid(a), _tid(b)]
+        cid = self.compose_ids(_tid(a), _tid(b))
         return None if cid < 0 else self.transitions[cid]
 
     def inverse(self, a: Transition | int) -> Transition:
@@ -194,7 +265,7 @@ class FiniteGroupoid:
     def inverse_products(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """ids of a^-1 ∘ b for every a in ``a`` (rows) and b in ``b``
         (columns), -1 where the pair is not composable."""
-        return self.compose_table[self.inverse_table[a][:, None], b[None, :]]
+        return self.compose_ids(self.inverse_table[a][:, None], b[None, :])
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -280,50 +351,38 @@ def _from_triples(
 ) -> FiniteGroupoid:
     """Build a groupoid from a closed set of (target, label, source) triples.
 
-    The set must contain every unit (x, e, x), be closed under label
-    inversion and under the composition rule
-    (y2,g2,x2)∘(y1,g1,x1) = (y2, g2*g1, x1) when x2 == y1.
+    ``triples`` is an integer array of (target, label, source) rows, in
+    any order; repeated rows collapse. The set must contain every unit
+    (x, e, x), be closed under label inversion and under the composition
+    rule (y2,g2,x2)∘(y1,g1,x1) = (y2, g2*g1, x1) when x2 == y1. Units and
+    inverses are checked here. Closure under composition is up to the
+    callers, which build closed sets: all of Ω×Γ×Ω, or a quiver's closure.
     """
-    triples = sorted(set(triples), key=lambda t: (t[0], t[2], t[1]))
-    index = {tr: i for i, tr in enumerate(triples)}
-    n = len(triples)
-    transitions = [
-        Transition(i, source=tr[2], target=tr[0], label=tr[1])
-        for i, tr in enumerate(triples)
-    ]
+    n_out, k = len(outcomes), group.order
+    tri = np.asarray(triples, dtype=int).reshape(-1, 3)
+    present = np.zeros((n_out, n_out, k), dtype=bool)   # [target, source, label]
+    present[tri[:, 0], tri[:, 2], tri[:, 1]] = True
+    Y, X, L = np.nonzero(present)                        # in canonical order
+    n = len(Y)
+    transitions = tuple(map(Transition, range(n), X.tolist(), Y.tolist(), L.tolist()))
 
-    unit_table = np.empty(len(outcomes), dtype=int)
-    for o in outcomes:
-        u = (o.id, group.identity, o.id)
-        if u not in index:
-            raise ValueError(f"transition set lacks the unit of outcome {o.label!r}")
-        unit_table[o.id] = index[u]
+    # dense (target, label, source) -> id lookup, through which the groupoid composes
+    lookup = np.full((n_out, k, n_out), UNDEFINED, dtype=int)
+    lookup[Y, L, X] = np.arange(n)
 
-    # dense (target, label, source) -> id lookup for vectorized table building
-    lut = np.full((len(outcomes), group.order, len(outcomes)), UNDEFINED, dtype=int)
-    Y = np.array([tr[0] for tr in triples], dtype=int)
-    L = np.array([tr[1] for tr in triples], dtype=int)
-    X = np.array([tr[2] for tr in triples], dtype=int)
-    lut[Y, L, X] = np.arange(n)
-
-    inverse_table = lut[X, group.inverse[L], Y]
+    diagonal = np.arange(n_out)
+    unit_table = lookup[diagonal, group.identity, diagonal]
+    if np.any(unit_table < 0):
+        label = outcomes[int(np.argmax(unit_table < 0))].label
+        raise ValueError(f"transition set lacks the unit of outcome {label!r}")
+    inverse_table = lookup[X, group.inverse[L], Y]
     if np.any(inverse_table < 0):
         i = int(np.argmax(inverse_table < 0))
-        raise ValueError(f"transition set is not closed under inversion at {triples[i]}")
-
-    composable = X[:, None] == Y[None, :]
-    labels = group.table[L[:, None], L[None, :]]
-    results = lut[Y[:, None], labels, X[None, :]]
-    if np.any(composable & (results < 0)):
-        a, b = np.argwhere(composable & (results < 0))[0]
         raise ValueError(
-            f"transition set is not closed under composition at {triples[a]}∘{triples[b]}"
+            f"transition set is not closed under inversion at {transitions[i].triple()}"
         )
-    compose_table = np.where(composable, results, UNDEFINED)
-
-    return FiniteGroupoid(
-        outcomes, transitions, compose_table, inverse_table, unit_table,
-        group=group, validate=False,
+    return FiniteGroupoid._from_lookup(
+        outcomes, transitions, lookup, L, inverse_table, unit_table, group
     )
 
 
@@ -388,54 +447,84 @@ def cyclic_groupoid(n_outcomes: int, k: int, labels=None) -> FiniteGroupoid:
     if labels is None:
         labels = [str(i) for i in range(n_outcomes)]
     outcomes = tuple(Outcome(i, str(lab)) for i, lab in enumerate(labels))
-    triples = [
-        (y, j, x)
-        for y in range(n_outcomes)
-        for x in range(n_outcomes)
-        for j in range(k)
-    ]
+    triples = np.indices((n_outcomes, k, n_outcomes)).reshape(3, -1).T
     return _from_triples(outcomes, cyclic_group(k), triples)
 
 
 def generate_from_quiver(q: Quiver) -> FiniteGroupoid:
     """Close the quiver under composition and inversion.
 
-    Every arrow of the closure is a word in the generators and their
-    inverses ending in a unit, so one breadth-first search from the
-    units under left composition by those letters reaches all of them.
-    Every outcome keeps its unit even when no generator touches it.
-    Finiteness is guaranteed by the finite label group: the closure
-    lives inside outcomes x group x outcomes.
+    A connected groupoid is a pair groupoid times one isotropy group. So,
+    per connected component of the quiver (its arrows taken both ways), a
+    breadth-first spanning tree from the least outcome x0 gives an arrow
+    x0 -> x of label tau_x for each outcome x of the component. Each
+    generator (y, g, x) of the component gives the loop
+    tau_y^-1 g tau_x at x0 (a Schreier generator), and these loops
+    generate the isotropy group Γ_x0. The component's arrows are then
+    exactly (y, tau_y γ tau_x^-1, x) for x, y in it and γ in Γ_x0. An
+    outcome that no generator touches is a component with only its unit.
+    Finiteness is guaranteed by the finite label group: the closure lives
+    inside outcomes x group x outcomes.
     """
-    grp = q.group
-    letters: dict[int, list[tuple[int, int]]] = {}  # source -> (target, label)
+    grp, n_out = q.group, len(q.outcomes)
+    letters: list[list[tuple[int, int]]] = [[] for _ in range(n_out)]  # x -> (y, label)
     for t in q.generators:
-        letters.setdefault(t.source, []).append((t.target, t.label))
-        letters.setdefault(t.target, []).append((t.source, grp.inv(t.label)))
-    triples = {(o.id, grp.identity, o.id) for o in q.outcomes}
-    queue = list(triples)
-    for y, g, x in queue:
-        for z, h in letters.get(y, ()):
-            c = (z, grp.mul(h, g), x)
-            if c not in triples:
-                triples.add(c)
-                queue.append(c)
-    return _from_triples(q.outcomes, grp, triples)
+        letters[t.source].append((t.target, t.label))
+        letters[t.target].append((t.source, grp.inv(t.label)))
+    root = [UNDEFINED] * n_out       # least outcome of x's component
+    tau = [grp.identity] * n_out     # label of the tree arrow root -> x
+    for x0 in range(n_out):
+        if root[x0] >= 0:
+            continue
+        root[x0] = x0
+        queue = [x0]
+        for x in queue:
+            for y, label in letters[x]:
+                if root[y] < 0:
+                    root[y], tau[y] = x0, grp.mul(label, tau[x])
+                    queue.append(y)
+    root, tau = np.array(root), np.array(tau)
+
+    gens = np.array([t.triple() for t in q.generators], dtype=int).reshape(-1, 3)
+    tgt, lab, src = gens.T
+    schreier = grp.table[grp.table[grp.inverse[tau[tgt]], lab], tau[src]]
+    parts = []
+    for x0 in np.flatnonzero(root == np.arange(n_out)):
+        members = np.flatnonzero(root == x0)
+        iso = _subgroup(grp, schreier[root[src] == x0])
+        # [y, γ, x] -> tau_y γ tau_x^-1
+        labels = grp.table[grp.table[tau[members][:, None], iso][:, :, None],
+                           grp.inverse[tau[members]][None, None, :]]
+        c, h = len(members), len(iso)
+        parts.append(np.column_stack(
+            [np.repeat(members, h * c), labels.ravel(), np.tile(members, c * h)]))
+    return _from_triples(q.outcomes, grp, np.concatenate(parts))
+
+
+def _subgroup(group: FiniteGroup, gens: np.ndarray) -> np.ndarray:
+    """The elements of the subgroup generated by ``gens``, ascending.
+
+    A breadth-first search from the identity under right multiplication by
+    the generators; in a finite group it reaches their inverses too.
+    """
+    gens = gens.tolist()
+    elements = [group.identity]
+    seen = set(elements)
+    for h in elements:
+        for p in group.table[h, gens].tolist():
+            if p not in seen:
+                seen.add(p)
+                elements.append(p)
+    return np.array(sorted(elements))
 
 
 def is_irreducible(q: Quiver, g: FiniteGroupoid) -> dict[str, bool]:
     """For each generator: can it be written as a composition of two
     quiver elements? Maps generator name -> True when it cannot."""
-    gen_ids = [g.transition(t.target, t.label, t.source).id for t in q.generators]
-    result = {}
-    for name, gid in zip(q.names, gen_ids):
-        reducible = any(
-            g.compose_table[a, b] == gid
-            for a in gen_ids
-            for b in gen_ids
-        )
-        result[name] = not reducible
-    return result
+    gen_ids = np.array([g.transition(t.target, t.label, t.source).id for t in q.generators],
+                       dtype=int)
+    products = g.compose_ids(gen_ids[:, None], gen_ids[None, :])
+    return {name: bool(np.all(products != gid)) for name, gid in zip(q.names, gen_ids)}
 
 
 def check_axioms(g: FiniteGroupoid, max_violations: int = 1000) -> AxiomReport:

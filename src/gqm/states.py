@@ -224,7 +224,8 @@ def factorizable_extend(
     for k in range(0, len(letters), 2):
         if phi[letters[k]] is None:
             reach(letters[k], given[k], letter_words[k])
-    rows = list(enumerate(g.compose_table[letters].tolist()))
+    products = g.compose_ids(np.array(letters, dtype=int)[:, None], np.arange(g.n_transitions))
+    rows = list(enumerate(products.tolist()))
     while queue:
         b = queue.popleft()
         for k, row in rows:

@@ -1,4 +1,5 @@
 import csv
+import functools
 import hashlib
 import importlib.util
 import inspect
@@ -572,6 +573,61 @@ def test_no_verb_builds_the_regular_representation(specdir, capsys, monkeypatch,
         code = run_cli(verb, "--spec", specdir / name, "--out", specdir / verb)
         assert code == (2 if (name, verb) in VERB_FAILS else 0)
     assert calls == []
+
+
+def count_table_builds(monkeypatch) -> list:
+    """Make ``FiniteGroupoid.compose_table`` append to the returned list
+    each time it materializes a constructed groupoid's table."""
+    calls = []
+    build = gqm.FiniteGroupoid.compose_table.func
+    prop = functools.cached_property(lambda g: calls.append(g) or build(g))
+    prop.__set_name__(gqm.FiniteGroupoid, "compose_table")
+    monkeypatch.setattr(gqm.FiniteGroupoid, "compose_table", prop)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["ratchet.json", "qubit.json", "pair2.json", "cyclic_only.json",
+                                  "cyclic_16_8.json"])
+def test_only_check_and_cayley_build_the_compose_table(specdir, capsys, monkeypatch, name):
+    """A constructed groupoid composes through its lookup: of the verbs, only
+    check (the axiom judge) and cayley (the table itself) build its |G|² table."""
+    if name == "cyclic_16_8.json":
+        (specdir / name).write_text(json.dumps(cyclic_spec(16, 8)))
+    calls = count_table_builds(monkeypatch)
+    for verb in VERB_FILES:
+        before = len(calls)
+        code = run_cli(verb, "--spec", specdir / name, "--out", specdir / verb)
+        assert code == (2 if (name, verb) in VERB_FAILS else 0), capsys.readouterr().err
+        assert len(calls) - before == (verb in ("check", "cayley")), verb
+
+
+# The csv branch of write_cayley before it quoted each name once and streamed the rows.
+def reference_cayley_csv(built, outdir: Path) -> Path:
+    g = built.groupoid
+    names = [gqm.transition_name(g, t) for t in g.transitions]
+    table = np.array(names + ["*"], dtype=object)[g.compose_table].tolist()
+    rows = [[name] + row for name, row in zip(names, table)]
+    with open(outdir / "cayley.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["o"] + names)
+        writer.writerows(rows)
+    return outdir / "cayley.csv"
+
+
+@pytest.mark.parametrize("labels", [
+    ["a,b", 'say "hi"', "two\nlines", "*"], ["*", "", "\r", ",", '"']])
+def test_cayley_csv_quotes_cells_as_the_csv_writer_did(tmp_path, labels):
+    spec = specio.parse_spec(json.dumps(
+        {"groupoid_source": {"cyclic": [len(labels), 2], "labels": labels}}).encode())
+    built = specio.build_experiment(spec)
+    for out in ("new", "reference"):
+        (tmp_path / out).mkdir()
+    new = cli.write_cayley(built, tmp_path / "new", "csv").read_bytes()
+    assert new == reference_cayley_csv(built, tmp_path / "reference").read_bytes()
+    if not any("\r" in label for label in labels):  # the writer leaves a lone \r unquoted
+        header, _ = read_csv(tmp_path / "new" / "cayley.csv")
+        assert header[1:] == [gqm.transition_name(built.groupoid, t)
+                              for t in built.groupoid.transitions]
 
 
 def test_output_tables_agree():

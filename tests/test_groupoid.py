@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -293,7 +295,7 @@ def fixed_point_closure(q):
             if x2 == y1
         } - triples
         if not new:
-            return _from_triples(q.outcomes, grp, triples)
+            return _from_triples(q.outcomes, grp, list(triples))
         triples |= new
 
 
@@ -508,3 +510,102 @@ def test_explicit_table_load_derives_relabeled_tables(q, data):
         st.one_of(st.none(), st.integers(0, n - 1)).filter(lambda v: v != table[i][j]))
     with pytest.raises(gqm.GroupoidAxiomError):
         gqm.from_compose_table(labels, trs, table, group=g.group)
+
+
+# --------------------------- composition by structure vs the dense table
+
+# The dense table that _from_triples built for every constructed groupoid
+# before composition went through the (|Omega|, |Gamma|, |Omega|) lookup.
+def reference_compose_table(g: FiniteGroupoid) -> np.ndarray:
+    """|G| x |G| ids of a∘b = (t(a), L(a)·L(b), s(b)) when s(a) == t(b), else -1."""
+    n_out, group = g.n_outcomes, g.group
+    Y, X = g.target, g.source
+    L = np.array([t.label for t in g.transitions], dtype=int)
+    lut = np.full((n_out, group.order, n_out), UNDEFINED, dtype=int)
+    lut[Y, L, X] = np.arange(g.n_transitions)
+    composable = X[:, None] == Y[None, :]
+    labels = group.table[L[:, None], L[None, :]]
+    results = lut[Y[:, None], labels, X[None, :]]
+    assert not np.any(composable & (results < 0))
+    return np.where(composable, results, UNDEFINED)
+
+
+# The breadth-first closure that generate_from_quiver ran before the spanning tree.
+def reference_generate_from_quiver(q) -> set[tuple[int, int, int]]:
+    """(target, label, source) of every arrow of the quiver's closure."""
+    grp = q.group
+    letters: dict[int, list[tuple[int, int]]] = {}  # source -> (target, label)
+    for t in q.generators:
+        letters.setdefault(t.source, []).append((t.target, t.label))
+        letters.setdefault(t.target, []).append((t.source, grp.inv(t.label)))
+    triples = {(o.id, grp.identity, o.id) for o in q.outcomes}
+    queue = list(triples)
+    for y, g, x in queue:
+        for z, h in letters.get(y, ()):
+            c = (z, grp.mul(h, g), x)
+            if c not in triples:
+                triples.add(c)
+                queue.append(c)
+    return triples
+
+
+@st.composite
+def groupoids_with_tables(draw):
+    """A constructed groupoid (quiver closure, cyclic or pair) with its
+    reference table, or an explicit relabeled table with that table."""
+    kind = draw(st.sampled_from(["quiver", "cyclic", "pair", "explicit"]))
+    if kind == "cyclic":
+        g = gqm.cyclic_groupoid(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    elif kind == "pair":
+        g = gqm.pair_groupoid(draw(st.integers(1, 5)))
+    else:
+        g = gqm.generate_from_quiver(draw(quivers()))
+    if kind != "explicit":
+        return g, reference_compose_table(g)
+    perm = np.array(draw(st.permutations(range(g.n_transitions))))
+    labels, trs, table = relabeled_table(g, perm)
+    h = gqm.from_compose_table(labels, trs, table, group=g.group)
+    return h, np.array([[UNDEFINED if c is None else c for c in row] for row in table])
+
+
+@settings(deadline=None)
+@given(groupoids_with_tables())
+def test_structural_composition_matches_dense_reference(case):
+    g, ref = case
+    ids = np.arange(g.n_transitions)
+    assert np.array_equal(g.compose_ids(ids[:, None], ids[None, :]), ref)
+    assert np.array_equal(g.inverse_products(ids, ids[::-1]),
+                          ref[g.inverse_table[:, None], ids[None, ::-1]])
+    left, right = np.nonzero(ref >= 0)
+    assert np.array_equal(g.pair_left, left)
+    assert np.array_equal(g.pair_right, right)
+    assert np.array_equal(g.pair_result, ref[left, right])
+    assert np.array_equal(g.compose_table, ref)
+
+
+@settings(deadline=None)
+@given(quivers())
+def test_spanning_tree_closure_matches_breadth_first_reference(q):
+    triples = [t.triple() for t in gqm.generate_from_quiver(q).transitions]
+    assert triples == sorted(reference_generate_from_quiver(q), key=lambda t: (t[0], t[2], t[1]))
+
+
+def test_constructed_groupoids_build_no_table_until_read():
+    g = gqm.generate_from_quiver(gqm.make_quiver(["x", "y", "z"], S3, [("x", "y", 1), ("y", "y", 3)]))
+    assert "compose_table" not in vars(g) and "_pairs" not in vars(g)
+    assert g.compose(g.inverse(5), 5) == g.unit(g.transitions[5].source)
+    assert "compose_table" not in vars(g) and "_pairs" not in vars(g)
+    assert len(g.pair_left) == sum(len(g.target_fibers[x]) for x in g.source)
+    assert "compose_table" not in vars(g)
+
+
+def test_cyclic_construction_allocates_no_dense_table():
+    """C_{24,8} has |G| = 4608; its |G|² int64 table alone would be 170 MB."""
+    tracemalloc.start()
+    try:
+        g = gqm.cyclic_groupoid(24, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n_transitions == 4608
+    assert peak < 100e6
